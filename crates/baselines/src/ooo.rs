@@ -7,11 +7,20 @@
 //! reorder buffer, at the cost of 3 additional pipeline stages.
 //!
 //! This model is *trace driven*: the correct-path dynamic stream (with
-//! dataflow and same-address store→load links) comes from
-//! [`ff_engine::DynTrace`], and this module schedules it cycle by cycle
+//! dataflow and same-address store→load links) comes from a
+//! [`ff_engine::TraceStepper`], and this module schedules it cycle by cycle
 //! under fetch, window, ROB, functional-unit, and MSHR constraints.
 //! Wrong-path work affects timing through branch-resolution bubbles but
 //! does not pollute the caches, consistent with the idealization.
+//!
+//! The stream is pulled one instruction at a time as fetch advances, and
+//! every per-instruction fact the scheduler needs (the trace step, its
+//! completion cycle, which also tells whether it issued, and its waiter
+//! links) lives in a fixed-capacity ring sized from the machine
+//! configuration, not from the program's dynamic length. A slot is reused only once its instruction
+//! has retired more than the wakeup delay ago, so a producer whose slot
+//! was reused is provably visible to every consumer still in flight and
+//! reads as complete at cycle 0 (DESIGN.md §7e).
 //!
 //! [`OutOfOrder::realistic`] models §5.2's more practical design:
 //! decentralized 16-entry scheduling queues for memory, integer, and
@@ -20,11 +29,11 @@
 
 use std::borrow::Cow;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use ff_engine::{
-    Activity, DynTrace, ExecutionModel, FuPool, MachineConfig, RetireEvent, RetireHook, RetireMode,
-    RunError, RunResult, RunStats, SimCase, StallKind, TickMode, TraceInst,
+    Activity, ExecutionModel, FuPool, MachineConfig, RetireEvent, RetireHook, RetireMode, RunError,
+    RunResult, RunStats, SimCase, StallKind, TickMode, TraceStep, TraceStepper,
 };
 use ff_frontend::Gshare;
 use ff_isa::{FuClass, Op};
@@ -62,7 +71,7 @@ impl OutOfOrder {
         OutOfOrder { config, kind: WindowKind::Decentralized, tick: TickMode::default() }
     }
 
-    fn queue_of(inst: &TraceInst) -> usize {
+    fn queue_of(inst: &TraceStep<'_>) -> usize {
         match inst.inst.op().fu_class() {
             FuClass::Mem => 0,
             FuClass::Fp => 1,
@@ -74,38 +83,141 @@ impl OutOfOrder {
 const NOT_DONE: u64 = u64::MAX;
 
 /// Sentinel for an empty intrusive waiter list.
-const NO_WAITER: u32 = u32::MAX;
+const NO_WAITER: u64 = u64::MAX;
+
+/// The scheduler's state for one fetched dynamic instruction.
+#[derive(Clone, Copy)]
+struct Slot<'p> {
+    step: TraceStep<'p>,
+    /// Completion cycle (`NOT_DONE` until issued).
+    complete: u64,
+    /// Head of the intrusive list of consumers waiting for this producer
+    /// to issue, linked by stream position through `next_waiter`.
+    first_waiter: u64,
+    next_waiter: u64,
+}
+
+/// Fixed-capacity ring of [`Slot`]s indexed by stream position: holds every
+/// fetched-but-unretired instruction plus the most recently retired ones.
+struct TraceRing<'p> {
+    slots: Vec<Slot<'p>>,
+    mask: u64,
+}
+
+impl<'p> TraceRing<'p> {
+    /// A ring of at least `capacity` slots, allocated once.
+    fn new(capacity: usize) -> Self {
+        let capacity = capacity.next_power_of_two();
+        TraceRing { slots: Vec::with_capacity(capacity), mask: capacity as u64 - 1 }
+    }
+
+    fn capacity(&self) -> u64 {
+        self.mask + 1
+    }
+
+    /// Stores `step`, reusing the slot of the instruction one ring
+    /// capacity older.
+    fn push(&mut self, step: TraceStep<'p>) {
+        let slot =
+            Slot { step, complete: NOT_DONE, first_waiter: NO_WAITER, next_waiter: NO_WAITER };
+        if step.seq < self.capacity() {
+            debug_assert_eq!(step.seq, self.slots.len() as u64);
+            self.slots.push(slot);
+        } else {
+            self.slots[(step.seq & self.mask) as usize] = slot;
+        }
+    }
+
+    fn get(&self, seq: u64) -> &Slot<'p> {
+        let slot = &self.slots[(seq & self.mask) as usize];
+        debug_assert_eq!(slot.step.seq, seq, "slot was reused while in flight");
+        slot
+    }
+
+    fn get_mut(&mut self, seq: u64) -> &mut Slot<'p> {
+        let slot = &mut self.slots[(seq & self.mask) as usize];
+        debug_assert_eq!(slot.step.seq, seq, "slot was reused while in flight");
+        slot
+    }
+
+    /// Completion cycle of producer `seq` as its consumers see it. A
+    /// producer whose slot was reused retired long enough ago to be
+    /// visible to any consumer, so it reads as complete at cycle 0.
+    fn complete(&self, seq: u64) -> u64 {
+        let slot = &self.slots[(seq & self.mask) as usize];
+        if slot.step.seq == seq {
+            slot.complete
+        } else {
+            0
+        }
+    }
+
+    /// Whether producer `seq` is a load whose result is not visible at
+    /// `now`.
+    fn is_pending_load(&self, seq: u64, now: u64) -> bool {
+        let c = self.complete(seq);
+        (c == NOT_DONE || c > now) && self.get(seq).step.inst.op().is_load()
+    }
+}
 
 /// Classifies a window entry for the wakeup-driven ready state: if any
-/// dependence has not issued yet, returns `Err(producer_idx)` for the first
+/// dependence has not issued yet, returns `Err(producer)` for the first
 /// such producer (the entry links into that producer's waiter list and is
 /// re-classified when it issues); otherwise returns `Ok(wake_at)`, the first
 /// cycle at which every dependence is visible through the bypass network.
-fn classify(ti: &TraceInst, complete: &[u64], wakeup_delay: u64) -> Result<u64, usize> {
+fn classify(ti: &TraceStep<'_>, ring: &TraceRing<'_>, wakeup_delay: u64) -> Result<u64, u64> {
     let mut wake_at = 0u64;
-    for &d in ti.reg_deps.iter().chain(ti.mem_dep.as_ref()) {
-        let c = complete[d as usize];
+    for d in ti.deps() {
+        let c = ring.complete(d);
         if c == NOT_DONE {
-            return Err(d as usize);
+            return Err(d);
         }
         wake_at = wake_at.max(c + wakeup_delay);
     }
     Ok(wake_at)
 }
 
+/// Links `consumer` into the waiter list of its unissued `producer`.
+fn wait_on(ring: &mut TraceRing<'_>, consumer: u64, producer: u64) {
+    let head = ring.get(producer).first_waiter;
+    ring.get_mut(consumer).next_waiter = head;
+    ring.get_mut(producer).first_waiter = consumer;
+}
+
 /// Pushes onto the wakeup timer, counting heap growth as an allocation
 /// event (the heap is pre-sized to the window bound, so steady state never
 /// grows).
 fn timer_push(
-    timer: &mut BinaryHeap<Reverse<(u64, usize)>>,
+    timer: &mut BinaryHeap<Reverse<(u64, u64)>>,
     activity: &mut Activity,
     t: u64,
-    idx: usize,
+    seq: u64,
 ) {
     if timer.len() == timer.capacity() {
         activity.alloc_count += 1;
     }
-    timer.push(Reverse((t, idx)));
+    timer.push(Reverse((t, seq)));
+}
+
+/// Stall attribution for a cycle in which nothing issued (paper §5.2:
+/// charge the oldest instruction).
+fn idle_stall(ring: &TraceRing<'_>, rob_head: u64, rob_tail: u64, now: u64) -> StallKind {
+    if rob_head >= rob_tail {
+        return StallKind::FrontEnd;
+    }
+    let oldest = ring.get(rob_head);
+    let load = if oldest.complete != NOT_DONE {
+        // Oldest is executing: charge its own latency class.
+        oldest.step.inst.op().is_load()
+    } else {
+        // Oldest is waiting on a producer.
+        oldest.step.reg_deps().iter().any(|&d| ring.is_pending_load(d, now))
+    };
+    if load {
+        StallKind::Load
+    } else {
+        StallKind::Other
+    }
 }
 
 impl ExecutionModel for OutOfOrder {
@@ -125,12 +237,22 @@ impl ExecutionModel for OutOfOrder {
         case: &SimCase<'_>,
         hook: &mut dyn RetireHook,
     ) -> Result<RunResult, RunError> {
+        self.simulate(case, hook, 0)
+    }
+}
+
+impl OutOfOrder {
+    /// Runs `case` with `extra_slots` more trace-ring slots than the
+    /// machine configuration needs (tests use this to show that slot reuse
+    /// is unobservable).
+    fn simulate(
+        &self,
+        case: &SimCase<'_>,
+        hook: &mut dyn RetireHook,
+        extra_slots: usize,
+    ) -> Result<RunResult, RunError> {
         let cfg = &self.config;
         let cycle_cap = case.cycle_cap(cfg.max_cycles);
-        let trace = DynTrace::record(case.program, case.initial_state(), case.max_insts)
-            .expect("trace recording failed — invalid workload program");
-        let insts = trace.insts();
-        let n = insts.len();
         let hook_enabled = hook.enabled();
 
         let mut mem = MemorySystem::new(cfg.hierarchy);
@@ -139,18 +261,37 @@ impl ExecutionModel for OutOfOrder {
         let mut stats = RunStats::default();
         let mut activity = Activity::new();
 
-        // Completion cycle per dynamic instruction (NOT_DONE until issued).
-        let mut complete: Vec<u64> = vec![NOT_DONE; n];
-        let mut issued_flag: Vec<bool> = vec![false; n];
+        // The idealized model folds scheduling and register read into the
+        // REG stage ("eliminating the need for speculative wakeup", §5.1);
+        // the realistic design pays a non-speculative wakeup/select loop
+        // between a producer's completion and its consumers' issue.
+        let wakeup_delay: u64 = match self.kind {
+            WindowKind::Unified => 0,
+            WindowKind::Decentralized => 2,
+        };
 
-        // Front end: pointer into the trace, plus in-flight decode pipe.
-        let mut fetch_idx: usize = 0;
+        // In flight: at most a full ROB plus a full decode pipe. Beyond
+        // that, the ring keeps the last `issue_width × wakeup_delay`
+        // retirements, the only retired producers whose completion a
+        // consumer can still observe as pending (see `TraceRing::complete`).
+        let in_flight = cfg.ooo_rob + cfg.inorder_buffer;
+        let retained = cfg.issue_width as usize * wakeup_delay as usize;
+        let mut ring =
+            TraceRing::new(in_flight + cfg.fetch_width as usize + retained + extra_slots);
+        // Fetching `seq` reuses the slot of `seq - capacity`, which must
+        // have at least `retained` retirements after it.
+        let fetch_span = ring.capacity() - retained as u64;
+        let mut trace = TraceStepper::new(case.program, case.initial_state(), case.max_insts)
+            .expect("trace recording failed — invalid workload program")
+            .with_horizon(ring.capacity());
+
+        // Front end: the stepper is the fetch pointer, plus the in-flight
+        // decode pipe.
         let mut fetch_blocked_until: u64 = 0;
-        // A mispredicted branch stops fetch until it resolves; `Some(idx)`.
-        let mut waiting_branch: Option<usize> = None;
-        // Decode pipe: (trace idx, cycle at which it may dispatch).
-        let mut decode: std::collections::VecDeque<(usize, u64)> =
-            std::collections::VecDeque::new();
+        // A mispredicted branch stops fetch until it resolves; `Some(seq)`.
+        let mut waiting_branch: Option<u64> = None;
+        // Decode pipe: (stream position, cycle at which it may dispatch).
+        let mut decode: VecDeque<(u64, u64)> = VecDeque::with_capacity(cfg.inorder_buffer);
 
         // Scheduling window, held as wakeup-driven ready state instead of a
         // per-cycle-scanned vector: an un-issued entry is (a) linked into
@@ -160,38 +301,34 @@ impl ExecutionModel for OutOfOrder {
         // only `ready`, so its cost scales with instructions that *become*
         // ready rather than window size × cycles, and the containers are
         // pre-sized to the window bound so steady state never allocates.
-        let mut first_waiter: Vec<u32> = vec![NO_WAITER; n];
-        let mut next_waiter: Vec<u32> = vec![NO_WAITER; n];
         let window_cap = match self.kind {
             WindowKind::Unified => cfg.ooo_window,
             WindowKind::Decentralized => 3 * cfg.ooo_decentralized_queue,
         }
         .min(cfg.ooo_rob)
             + 1;
-        let mut ready: Vec<usize> = Vec::with_capacity(window_cap);
-        let mut woken: Vec<usize> = Vec::with_capacity(window_cap);
-        let mut merged: Vec<usize> = Vec::with_capacity(window_cap);
-        let mut timer: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::with_capacity(window_cap);
+        let mut ready: Vec<u64> = Vec::with_capacity(window_cap);
+        let mut woken: Vec<u64> = Vec::with_capacity(window_cap);
+        let mut merged: Vec<u64> = Vec::with_capacity(window_cap);
+        let mut timer: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::with_capacity(window_cap);
         let mut window_len = 0usize;
-        activity.alloc_count += 4; // the four scheduling containers above
         let mut queue_len = [0usize; 3];
         // Decentralized queues hold entries until completion: in-flight
         // (complete_at, queue) pairs pending release.
-        let mut queue_release: Vec<(u64, usize)> = Vec::new();
-        // Reorder buffer: dispatched, not yet retired (contiguous range).
-        let mut rob_head: usize = 0; // next to retire
-        let mut rob_tail: usize = 0; // next to dispatch
+        let mut queue_release: Vec<(u64, usize)> = match self.kind {
+            WindowKind::Unified => Vec::new(),
+            WindowKind::Decentralized => Vec::with_capacity(3 * cfg.ooo_decentralized_queue),
+        };
+        // The trace ring, the decode pipe, the four scheduling containers
+        // and the queue-release list.
+        activity.alloc_count += 6 + u64::from(self.kind == WindowKind::Decentralized);
+        // Reorder buffer: dispatched, not yet retired (contiguous range of
+        // stream positions).
+        let mut rob_head: u64 = 0; // next to retire
+        let mut rob_tail: u64 = 0; // next to dispatch
         let mut retired_halt = false;
 
         let mispredict_penalty = cfg.mispredict_penalty + cfg.ooo_extra_stages;
-        // The idealized model folds scheduling and register read into the
-        // REG stage ("eliminating the need for speculative wakeup", §5.1);
-        // the realistic design pays a non-speculative wakeup/select loop
-        // between a producer's completion and its consumers' issue.
-        let wakeup_delay: u64 = match self.kind {
-            WindowKind::Unified => 0,
-            WindowKind::Decentralized => 2,
-        };
         let mut now: u64 = 0;
 
         while !retired_halt {
@@ -203,44 +340,46 @@ impl ExecutionModel for OutOfOrder {
             }
 
             // ---- fetch ----
-            if now >= fetch_blocked_until && waiting_branch.is_none() && fetch_idx < n {
-                // One I-cache access for the fetch group.
-                let pc = insts[fetch_idx].pc;
-                match mem.access(pc.fetch_address(), AccessKind::InstFetch, now) {
-                    MemAccess::Done { complete_at, .. } if complete_at > now + 1 => {
-                        fetch_blocked_until = complete_at;
-                    }
-                    MemAccess::Retry => fetch_blocked_until = now + 1,
-                    MemAccess::Done { .. } => {
-                        let mut fetched = 0;
-                        while fetched < cfg.fetch_width
-                            && fetch_idx < n
-                            && decode.len() < cfg.inorder_buffer
-                        {
-                            let ti = &insts[fetch_idx];
-                            decode.push_back((fetch_idx, now + 1 + cfg.ooo_extra_stages));
-                            fetch_idx += 1;
-                            fetched += 1;
-                            if ti.is_conditional_branch() {
-                                stats.branches += 1;
-                                let (pred, snap) = predictor.predict(ti.pc);
-                                predictor.update(ti.pc, snap, ti.taken);
-                                if pred != ti.taken {
-                                    stats.mispredicts += 1;
-                                    predictor.repair(snap, ti.taken);
-                                    // Fetch stops until this branch resolves.
-                                    waiting_branch = Some(fetch_idx - 1);
-                                    break;
-                                }
-                                if ti.taken {
-                                    // Redirect bubble on a taken branch.
+            if now >= fetch_blocked_until && waiting_branch.is_none() {
+                if let Some(pc) = trace.pc() {
+                    // One I-cache access for the fetch group.
+                    match mem.access(pc.fetch_address(), AccessKind::InstFetch, now) {
+                        MemAccess::Done { complete_at, .. } if complete_at > now + 1 => {
+                            fetch_blocked_until = complete_at;
+                        }
+                        MemAccess::Retry => fetch_blocked_until = now + 1,
+                        MemAccess::Done { .. } => {
+                            let mut fetched = 0;
+                            while fetched < cfg.fetch_width && decode.len() < cfg.inorder_buffer {
+                                let Some(step) = trace.next() else { break };
+                                let ti = step.unwrap_or_else(|e| {
+                                    panic!("trace recording failed — invalid workload program: {e}")
+                                });
+                                assert!(ti.seq - rob_head < fetch_span, "trace ring overrun");
+                                ring.push(ti);
+                                decode.push_back((ti.seq, now + 1 + cfg.ooo_extra_stages));
+                                fetched += 1;
+                                if ti.is_conditional_branch() {
+                                    stats.branches += 1;
+                                    let (pred, snap) = predictor.predict(ti.pc);
+                                    predictor.update(ti.pc, snap, ti.taken);
+                                    if pred != ti.taken {
+                                        stats.mispredicts += 1;
+                                        predictor.repair(snap, ti.taken);
+                                        // Fetch stops until this branch resolves.
+                                        waiting_branch = Some(ti.seq);
+                                        break;
+                                    }
+                                    if ti.taken {
+                                        // Redirect bubble on a taken branch.
+                                        fetch_blocked_until = now + 2;
+                                        break;
+                                    }
+                                } else if ti.taken {
+                                    // Unconditional taken branch: redirect bubble.
                                     fetch_blocked_until = now + 2;
                                     break;
                                 }
-                            } else if ti.taken {
-                                // Unconditional taken branch: redirect bubble.
-                                fetch_blocked_until = now + 2;
-                                break;
                             }
                         }
                     }
@@ -257,9 +396,10 @@ impl ExecutionModel for OutOfOrder {
                 if ready_at > now {
                     break;
                 }
-                if rob_tail - rob_head >= cfg.ooo_rob {
+                if rob_tail - rob_head >= cfg.ooo_rob as u64 {
                     break; // ROB full
                 }
+                let ti = ring.get(idx).step;
                 match self.kind {
                     WindowKind::Unified => {
                         if window_len >= cfg.ooo_window {
@@ -267,7 +407,7 @@ impl ExecutionModel for OutOfOrder {
                         }
                     }
                     WindowKind::Decentralized => {
-                        let q = Self::queue_of(&insts[idx]);
+                        let q = Self::queue_of(&ti);
                         if queue_len[q] >= cfg.ooo_decentralized_queue {
                             break;
                         }
@@ -276,11 +416,8 @@ impl ExecutionModel for OutOfOrder {
                 }
                 decode.pop_front();
                 window_len += 1;
-                match classify(&insts[idx], &complete, wakeup_delay) {
-                    Err(p) => {
-                        next_waiter[idx] = first_waiter[p];
-                        first_waiter[p] = idx as u32;
-                    }
+                match classify(&ti, &ring, wakeup_delay) {
+                    Err(p) => wait_on(&mut ring, idx, p),
                     Ok(t) if t <= now => {
                         if woken.len() == woken.capacity() {
                             activity.alloc_count += 1;
@@ -294,8 +431,8 @@ impl ExecutionModel for OutOfOrder {
                 dispatched += 1;
                 // Rename activity: one RAT lookup per source, one update per
                 // destination.
-                activity.rat_reads += insts[idx].inst.reads().count() as u64;
-                if insts[idx].inst.writes().is_some() {
+                activity.rat_reads += ti.inst.reads().count() as u64;
+                if ti.inst.writes().is_some() {
                     activity.rat_writes += 1;
                 }
             }
@@ -346,9 +483,10 @@ impl ExecutionModel for OutOfOrder {
                     break;
                 }
                 let idx = ready[r];
-                let ti = &insts[idx];
+                let ti = ring.get(idx).step;
                 activity.select_visits += 1;
-                if self.kind == WindowKind::Decentralized && queue_issued[Self::queue_of(ti)] >= 2 {
+                if self.kind == WindowKind::Decentralized && queue_issued[Self::queue_of(&ti)] >= 2
+                {
                     ready[kept] = idx;
                     kept += 1;
                     r += 1;
@@ -356,10 +494,11 @@ impl ExecutionModel for OutOfOrder {
                 }
                 // Ready-list membership implies every dependence is visible;
                 // the old per-cycle re-check is now an invariant.
-                debug_assert!(ti.reg_deps.iter().chain(ti.mem_dep.as_ref()).all(|&d| {
-                    complete[d as usize] != NOT_DONE && complete[d as usize] + wakeup_delay <= now
+                debug_assert!(ti.deps().all(|d| {
+                    let c = ring.complete(d);
+                    c != NOT_DONE && c + wakeup_delay <= now
                 }));
-                if !fu.try_issue(&ti.inst, now) {
+                if !fu.try_issue(ti.inst, now) {
                     ready[kept] = idx;
                     kept += 1;
                     r += 1;
@@ -389,8 +528,9 @@ impl ExecutionModel for OutOfOrder {
                     now + 1 // predicated off: flows through in one cycle
                 };
                 debug_assert!(done_at > now, "results are never visible in their issue cycle");
-                complete[idx] = done_at;
-                issued_flag[idx] = true;
+                let slot = ring.get_mut(idx);
+                slot.complete = done_at;
+                let mut wtr = std::mem::replace(&mut slot.first_waiter, NO_WAITER);
                 stats.executions += u64::from(ti.qp_true);
                 activity.issue_selections += 1;
                 activity.wakeup_broadcasts += 1;
@@ -400,8 +540,8 @@ impl ExecutionModel for OutOfOrder {
                 }
                 if self.kind == WindowKind::Decentralized {
                     // The queue entry is released when the result returns.
-                    queue_release.push((done_at, Self::queue_of(ti)));
-                    queue_issued[Self::queue_of(ti)] += 1;
+                    queue_release.push((done_at, Self::queue_of(&ti)));
+                    queue_issued[Self::queue_of(&ti)] += 1;
                 }
                 // A resolved mispredicted branch releases fetch.
                 if waiting_branch == Some(idx) {
@@ -412,16 +552,12 @@ impl ExecutionModel for OutOfOrder {
                 // next unissued producer or into the wakeup timer (never
                 // into this cycle's ready set — results land at now+1 or
                 // later, so in-flight select order is undisturbed).
-                let mut wtr = first_waiter[idx];
-                first_waiter[idx] = NO_WAITER;
                 while wtr != NO_WAITER {
-                    let widx = wtr as usize;
-                    wtr = next_waiter[widx];
-                    match classify(&insts[widx], &complete, wakeup_delay) {
-                        Err(p) => {
-                            next_waiter[widx] = first_waiter[p];
-                            first_waiter[p] = widx as u32;
-                        }
+                    let waiter = ring.get(wtr);
+                    let (widx, next, wstep) = (wtr, waiter.next_waiter, waiter.step);
+                    wtr = next;
+                    match classify(&wstep, &ring, wakeup_delay) {
+                        Err(p) => wait_on(&mut ring, widx, p),
                         Ok(t) => timer_push(&mut timer, &mut activity, t, widx),
                     }
                 }
@@ -451,12 +587,12 @@ impl ExecutionModel for OutOfOrder {
 
             // ---- retire (in order) ----
             let mut retired_now = 0;
-            while retired_now < cfg.issue_width as usize
-                && rob_head < rob_tail
-                && complete[rob_head] != NOT_DONE
-                && complete[rob_head] <= now
-            {
-                let ti = &insts[rob_head];
+            while retired_now < cfg.issue_width as usize && rob_head < rob_tail {
+                let slot = ring.get(rob_head);
+                if slot.complete == NOT_DONE || slot.complete > now {
+                    break;
+                }
+                let ti = &slot.step;
                 if matches!(ti.inst.op(), Op::Halt) && ti.qp_true {
                     retired_halt = true;
                 }
@@ -465,7 +601,7 @@ impl ExecutionModel for OutOfOrder {
                         seq: ti.seq,
                         cycle: now,
                         pc: ti.pc,
-                        inst: Cow::Borrowed(&ti.inst),
+                        inst: Cow::Borrowed(ti.inst),
                         qp_true: Some(ti.qp_true),
                         wrote: ti.wrote,
                         stored: ti.stored,
@@ -482,32 +618,8 @@ impl ExecutionModel for OutOfOrder {
             // ---- attribution (paper §5.2: charge the oldest instruction) ----
             if issued > 0 {
                 stats.breakdown.charge(StallKind::Execution);
-            } else if rob_head >= rob_tail && decode.is_empty() {
-                stats.breakdown.charge(StallKind::FrontEnd);
-            } else if rob_head < rob_tail {
-                let oldest = rob_head;
-                let kind = if issued_flag[oldest] {
-                    // Oldest is executing: charge its own latency class.
-                    if insts[oldest].inst.op().is_load() {
-                        StallKind::Load
-                    } else {
-                        StallKind::Other
-                    }
-                } else {
-                    // Oldest is waiting on a producer.
-                    let blocking_load = insts[oldest].reg_deps.iter().any(|&d| {
-                        (complete[d as usize] == NOT_DONE || complete[d as usize] > now)
-                            && insts[d as usize].inst.op().is_load()
-                    });
-                    if blocking_load {
-                        StallKind::Load
-                    } else {
-                        StallKind::Other
-                    }
-                };
-                stats.breakdown.charge(kind);
             } else {
-                stats.breakdown.charge(StallKind::FrontEnd);
+                stats.breakdown.charge(idle_stall(&ring, rob_head, rob_tail, now));
             }
 
             now += 1;
@@ -520,7 +632,7 @@ impl ExecutionModel for OutOfOrder {
             // constant inside the window and bulk-charged.
             if self.tick == TickMode::EventDriven && !retired_halt {
                 'ff: {
-                    let mut wake = if fetch_idx >= n || waiting_branch.is_some() {
+                    let mut wake = if trace.pc().is_none() || waiting_branch.is_some() {
                         u64::MAX
                     } else if now < fetch_blocked_until {
                         fetch_blocked_until
@@ -531,11 +643,11 @@ impl ExecutionModel for OutOfOrder {
                         if ready_at > now {
                             wake = wake.min(ready_at);
                         } else {
-                            let rob_full = rob_tail - rob_head >= cfg.ooo_rob;
+                            let rob_full = rob_tail - rob_head >= cfg.ooo_rob as u64;
                             let slot_full = match self.kind {
                                 WindowKind::Unified => window_len >= cfg.ooo_window,
                                 WindowKind::Decentralized => {
-                                    queue_len[Self::queue_of(&insts[idx])]
+                                    queue_len[Self::queue_of(&ring.get(idx).step)]
                                         >= cfg.ooo_decentralized_queue
                                 }
                             };
@@ -563,18 +675,19 @@ impl ExecutionModel for OutOfOrder {
                         wake = wake.min(t);
                     }
                     if rob_head < rob_tail {
-                        let c = complete[rob_head];
+                        let oldest = ring.get(rob_head);
+                        let c = oldest.complete;
                         if c != NOT_DONE {
                             if c <= now {
                                 break 'ff; // would retire: poll
                             }
                             wake = wake.min(c);
-                        }
-                        // The stall attribution (load vs other) can flip
-                        // when a pending dependence of the oldest completes.
-                        if !issued_flag[rob_head] {
-                            for &d in &insts[rob_head].reg_deps {
-                                let cd = complete[d as usize];
+                        } else {
+                            // The stall attribution (load vs other) can flip
+                            // when a pending dependence of the oldest
+                            // completes.
+                            for &d in oldest.step.reg_deps() {
+                                let cd = ring.complete(d);
                                 if cd != NOT_DONE && cd > now {
                                     wake = wake.min(cd);
                                 }
@@ -594,29 +707,7 @@ impl ExecutionModel for OutOfOrder {
                     }
                     // Attribution for an idle cycle, identical to the
                     // polled path with issued == 0.
-                    let kind = if rob_head >= rob_tail && decode.is_empty() {
-                        StallKind::FrontEnd
-                    } else if rob_head < rob_tail {
-                        if issued_flag[rob_head] {
-                            if insts[rob_head].inst.op().is_load() {
-                                StallKind::Load
-                            } else {
-                                StallKind::Other
-                            }
-                        } else {
-                            let blocking_load = insts[rob_head].reg_deps.iter().any(|&d| {
-                                (complete[d as usize] == NOT_DONE || complete[d as usize] > now)
-                                    && insts[d as usize].inst.op().is_load()
-                            });
-                            if blocking_load {
-                                StallKind::Load
-                            } else {
-                                StallKind::Other
-                            }
-                        }
-                    } else {
-                        StallKind::FrontEnd
-                    };
+                    let kind = idle_stall(&ring, rob_head, rob_tail, now);
                     stats.breakdown.charge_n(kind, wake - now);
                     now = wake;
                 }
@@ -629,8 +720,8 @@ impl ExecutionModel for OutOfOrder {
             stats,
             activity,
             mem_stats: mem.final_stats(),
-            // The run is over: move the recorded final state out of the
-            // trace instead of cloning the whole memory image.
+            // The run is over: the stepper has executed exactly the
+            // retired stream, through `Halt`.
             final_state: trace.into_final_state(),
         })
     }
@@ -856,6 +947,38 @@ mod tests {
             small.stats.cycles,
             big.stats.cycles
         );
+    }
+
+    /// Every per-instruction fact lives in the trace ring, whose slots are
+    /// reused once their instruction retired more than the wakeup delay
+    /// ago. A ring large enough never to reuse a slot holds the complete
+    /// history, so equal results show that reading a reused producer as
+    /// complete at cycle 0 is exact.
+    #[test]
+    fn trace_ring_slot_reuse_is_unobservable() {
+        use ff_engine::NullRetireHook;
+        use ff_workloads::{Scale, Workload};
+
+        let small_rob = MachineConfig { ooo_rob: 20, ..MachineConfig::default() };
+        for machine in [MachineConfig::default(), small_rob] {
+            for model in [OutOfOrder::new(machine), OutOfOrder::realistic(machine)] {
+                for name in ["gzip", "mcf", "art", "equake"] {
+                    let w = Workload::by_name(name, Scale::Test).unwrap();
+                    let case = SimCase::new(&w.program, w.mem.clone());
+                    let ring = model.simulate(&case, &mut NullRetireHook, 0).unwrap();
+                    let history = model.simulate(&case, &mut NullRetireHook, 1 << 17).unwrap();
+                    assert!(history.stats.retired < 1 << 17, "{name}: the large ring wrapped");
+                    let id = format!("{} rob={} {name}", model.name(), machine.ooo_rob);
+                    assert_eq!(ring.stats, history.stats, "{id}");
+                    assert_eq!(
+                        Activity { alloc_count: 0, ..ring.activity },
+                        Activity { alloc_count: 0, ..history.activity },
+                        "{id}"
+                    );
+                    assert_eq!(ring.mem_stats, history.mem_stats, "{id}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -288,10 +288,31 @@ pub struct JobContext {
     workloads: BTreeMap<(&'static str, u64), Workload>,
 }
 
+/// The index of the last job in a plan that uses each (bench, seed)
+/// workload.
+type LastUse = BTreeMap<(&'static str, u64), usize>;
+
+fn last_use(jobs: &[JobSpec]) -> LastUse {
+    let mut last = LastUse::new();
+    for (i, spec) in jobs.iter().enumerate() {
+        if let JobKind::Sim { bench, seed, .. } = spec.kind {
+            last.insert((bench, seed), i);
+        }
+    }
+    last
+}
+
 impl JobContext {
     /// An empty per-worker context.
     pub fn new() -> Self {
         JobContext { workloads: BTreeMap::new() }
+    }
+
+    /// Drops every cached workload whose last use in the plan comes
+    /// before job `next`. A worker is handed job indices in increasing
+    /// order, so it can never need such a workload again.
+    fn evict_used_up(&mut self, next: usize, last_use: &LastUse) {
+        self.workloads.retain(|key, _| last_use.get(key).is_some_and(|&last| last >= next));
     }
 }
 
@@ -565,11 +586,15 @@ pub fn run_campaign(jobs: &[JobSpec], opts: &CampaignOptions) -> std::io::Result
             _ => false,
         })
         .collect();
+    // Workload images dominate a worker's memory: each is dropped as soon
+    // as the plan is past its last use.
+    let last_use = last_use(jobs);
     let raw = run_jobs(
         jobs,
         opts.workers,
         |_wid| JobContext::new(),
         |state, i, spec| {
+            state.evict_used_up(i, &last_use);
             let outcome = if blocked[i] {
                 let strikes = ledger.as_ref().map_or(0, |q| q.strikes(spec));
                 JobOutcome {
@@ -664,6 +689,37 @@ mod tests {
         assert!(kept.iter().all(|j| !matches!(j.kind, JobKind::Report { .. })));
         let unfiltered = JobFilter::default();
         assert!(full_grid(Scale::Test).iter().all(|j| unfiltered.matches(j)));
+    }
+
+    #[test]
+    fn workloads_are_dropped_after_their_last_use_in_the_plan() {
+        let sim = |bench, seed| {
+            JobSpec::sim(ModelKind::InOrder, HierKind::Base, bench, seed, Scale::Test)
+        };
+        let plan = vec![
+            sim("gzip", 0),
+            sim("mcf", 0),
+            JobSpec::report("unroll_effect", Scale::Test),
+            sim("gzip", 0),
+            sim("gzip", 1),
+        ];
+        let last = last_use(&plan);
+        assert_eq!(last.get(&("gzip", 0)), Some(&3));
+        assert_eq!(last.get(&("mcf", 0)), Some(&1));
+        let mut ctx = JobContext::new();
+        for (bench, seed) in [("gzip", 0), ("mcf", 0), ("gzip", 1)] {
+            ctx.workloads
+                .insert((bench, seed), Workload::by_name_seeded(bench, Scale::Test, seed).unwrap());
+        }
+        ctx.evict_used_up(1, &last);
+        assert_eq!(ctx.workloads.len(), 3, "nothing is past its last use yet");
+        ctx.evict_used_up(2, &last);
+        assert!(!ctx.workloads.contains_key(&("mcf", 0)));
+        assert_eq!(ctx.workloads.len(), 2);
+        ctx.evict_used_up(4, &last);
+        assert_eq!(ctx.workloads.keys().collect::<Vec<_>>(), vec![&("gzip", 1)]);
+        ctx.evict_used_up(5, &last);
+        assert!(ctx.workloads.is_empty());
     }
 
     #[test]

@@ -23,8 +23,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// `init(worker_id)` builds one per-worker state value (e.g. a workload
 /// cache) that is threaded through every job that worker executes. A
 /// panic leaves that state in place — `run` must tolerate state touched
-/// by a panicked predecessor (the campaign's workload cache is only ever
-/// appended to, so this holds trivially).
+/// by a panicked predecessor (the campaign's workload cache only gains
+/// workloads or drops ones the plan is done with, so this holds
+/// trivially).
 pub fn run_jobs<J, S, R>(
     jobs: &[J],
     workers: usize,

@@ -13,6 +13,11 @@
 //! * **oversized bodies** — rejected with `413 Payload Too Large` before
 //!   the body is read, so a hostile `Content-Length` cannot balloon
 //!   memory;
+//! * **answers to unread requests** — a 503 shed or a 413 leaves request
+//!   bytes unread, and closing a socket with unread input makes the kernel
+//!   send a TCP reset that can destroy the response before the client
+//!   reads it. Such connections are half-closed after the response and
+//!   drained (bounded in bytes and time) before they are dropped;
 //! * **overload** — accepted connections queue on a *bounded* channel;
 //!   when the queue is full the accept thread sheds the connection with
 //!   `503 Service Unavailable` plus a `Retry-After` header instead of
@@ -22,11 +27,11 @@
 //!   [`TransportCounters`] field, surfaced on `GET /healthz`.
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use ff_harness::json::Json;
 
@@ -41,6 +46,13 @@ pub const MAX_BODY: usize = 1 << 20;
 /// Default bound on the accept queue: connections beyond
 /// `queue_cap + workers` in flight are shed with 503.
 const DEFAULT_QUEUE_CAP: usize = 64;
+
+/// Longest a connection answered before its request was read may linger
+/// while the rest of the request is drained.
+const DRAIN_TIMEOUT: Duration = Duration::from_millis(100);
+
+/// Most request bytes drained from such a connection before it is dropped.
+const DRAIN_BYTES: usize = 64 * 1024;
 
 /// The `Retry-After` seconds advertised when shedding load. Campaign
 /// submissions are seconds-long operations, so 1 s is enough for the
@@ -215,6 +227,29 @@ pub fn write_response(stream: &mut TcpStream, response: &Response) {
     let _ = stream.flush();
 }
 
+/// Closes a connection whose response went out before its request was
+/// read in full. Dropping a socket with unread input makes the kernel
+/// answer with a TCP reset, and a reset can overtake the response on its
+/// way to the client. Half-closing first sends the response and a FIN;
+/// draining until the client closes its side (bounded by [`DRAIN_BYTES`]
+/// and [`DRAIN_TIMEOUT`]) leaves no unread input behind at the drop.
+fn close_unread(stream: TcpStream) {
+    let _ = stream.shutdown(Shutdown::Write);
+    let deadline = Instant::now() + DRAIN_TIMEOUT;
+    let mut buf = [0u8; 4096];
+    let mut drained = 0;
+    while drained < DRAIN_BYTES {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            return;
+        }
+        match (&stream).read(&mut buf) {
+            Ok(0) | Err(_) => return,
+            Ok(n) => drained += n,
+        }
+    }
+}
+
 /// Tuning knobs for [`HttpServer::start_with`].
 #[derive(Clone, Debug)]
 pub struct HttpOptions {
@@ -291,16 +326,19 @@ impl HttpServer {
                     let next = rx.lock().unwrap_or_else(|e| e.into_inner()).recv();
                     let Ok(mut stream) = next else { return };
                     counters.requests.fetch_add(1, Ordering::Relaxed);
-                    let response = match read_request(&mut stream) {
-                        Ok(request) => handler(&request),
+                    let (response, read_in_full) = match read_request(&mut stream) {
+                        Ok(request) => (handler(&request), true),
                         Err(RequestError::TooLarge(msg)) => {
                             counters.oversized.fetch_add(1, Ordering::Relaxed);
-                            Response::error(413, &msg)
+                            (Response::error(413, &msg), false)
                         }
-                        Err(RequestError::Malformed(msg)) => Response::error(400, &msg),
+                        Err(RequestError::Malformed(msg)) => (Response::error(400, &msg), false),
                     };
                     counters.record_status(response.status);
                     write_response(&mut stream, &response);
+                    if !read_in_full {
+                        close_unread(stream);
+                    }
                 })
             })
             .collect();
@@ -317,7 +355,9 @@ impl HttpServer {
                     Err(mpsc::TrySendError::Full(mut stream)) => {
                         // Shed from the accept thread: writing the small
                         // 503 is cheap, and blocking here would stall all
-                        // accepts behind one slow backlog.
+                        // accepts behind one slow backlog. The drain is
+                        // bounded, and a client that reads its answer and
+                        // closes ends it within a round trip.
                         accept_counters.shed.fetch_add(1, Ordering::Relaxed);
                         write_response(
                             &mut stream,
@@ -326,6 +366,7 @@ impl HttpServer {
                                 SHED_RETRY_AFTER_S,
                             ),
                         );
+                        close_unread(stream);
                     }
                     Err(mpsc::TrySendError::Disconnected(_)) => break,
                 }

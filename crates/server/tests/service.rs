@@ -416,3 +416,107 @@ fn a_restart_over_crash_damage_heals_without_resimulating_intact_artifacts() {
     assert!(health_field(&url, "transport", "requests") > 0);
     server.shutdown();
 }
+
+/// Stress for the shed path: with the lone worker wedged and the queue
+/// full, every one of many back-to-back connections that sends its
+/// request gets the complete `503` + `Retry-After`, never a reset from
+/// the server closing over the unread request.
+#[test]
+fn every_shed_connection_receives_its_503_intact() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+
+    use ff_server::{HttpOptions, HttpServer, Response, TransportCounters};
+
+    const ROUNDS: u64 = 100;
+    let entered = Arc::new(AtomicBool::new(false));
+    let release = Arc::new(AtomicBool::new(false));
+    let (entered_h, release_h) = (Arc::clone(&entered), Arc::clone(&release));
+    let counters = Arc::new(TransportCounters::default());
+    let http = HttpServer::start_with(
+        "127.0.0.1:0",
+        HttpOptions { threads: 1, queue_cap: 1 },
+        Arc::clone(&counters),
+        move |_req| {
+            entered_h.store(true, Ordering::SeqCst);
+            while !release_h.load(Ordering::SeqCst) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            Response::ok("{}".to_string())
+        },
+    )
+    .expect("http server");
+    let url = ServerUrl::parse(&http.addr().to_string()).expect("url");
+    let url_a = url.clone();
+    let a = std::thread::spawn(move || http_request(&url_a, "GET", "/a", None));
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !entered.load(Ordering::SeqCst) {
+        assert!(Instant::now() < deadline, "first request never reached the handler");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let b = std::thread::spawn(move || http_request(&url, "GET", "/b", None));
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while counters.requests.load(Ordering::SeqCst) < 1 {
+        assert!(Instant::now() < deadline, "worker never dequeued");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    std::thread::sleep(Duration::from_millis(50)); // let the accept thread queue B
+
+    for round in 0..ROUNDS {
+        let mut stream = TcpStream::connect(http.addr()).expect("connect");
+        stream
+            .write_all(b"GET /c HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n")
+            .expect("send");
+        let mut response = String::new();
+        stream
+            .read_to_string(&mut response)
+            .unwrap_or_else(|e| panic!("round {round}: shed response lost: {e}"));
+        assert!(response.starts_with("HTTP/1.1 503 "), "round {round}: {response}");
+        assert!(response.contains("Retry-After: 1"), "round {round}: {response}");
+    }
+    assert_eq!(counters.shed.load(Ordering::SeqCst), ROUNDS);
+
+    release.store(true, Ordering::SeqCst);
+    assert_eq!(a.join().unwrap().expect("A completes").0, 200);
+    assert_eq!(b.join().unwrap().expect("B completes").0, 200);
+    http.shutdown();
+}
+
+/// Stress for the 413 path: clients that start streaming an oversized
+/// body before reading get the complete `413` every time, although the
+/// server never reads the body as a request.
+#[test]
+fn every_oversized_request_receives_its_413_intact() {
+    use std::sync::Arc;
+
+    use ff_server::{HttpOptions, HttpServer, Response, TransportCounters};
+
+    const ROUNDS: u64 = 100;
+    let counters = Arc::new(TransportCounters::default());
+    let http = HttpServer::start_with(
+        "127.0.0.1:0",
+        HttpOptions { threads: 2, ..HttpOptions::default() },
+        Arc::clone(&counters),
+        |_req| Response::ok("{}".to_string()),
+    )
+    .expect("http server");
+    let claimed = 2 * 1024 * 1024; // 2 MiB > the 1 MiB cap
+    let body_prefix = vec![b'x'; 16 * 1024];
+    for round in 0..ROUNDS {
+        let mut stream = TcpStream::connect(http.addr()).expect("connect");
+        write!(
+            stream,
+            "POST /campaigns HTTP/1.1\r\nHost: test\r\nContent-Length: {claimed}\r\n\r\n"
+        )
+        .expect("send headers");
+        stream.write_all(&body_prefix).expect("send body prefix");
+        let mut response = String::new();
+        stream
+            .read_to_string(&mut response)
+            .unwrap_or_else(|e| panic!("round {round}: 413 response lost: {e}"));
+        assert!(response.starts_with("HTTP/1.1 413 "), "round {round}: {response}");
+        assert!(response.contains("exceeds"), "round {round}: {response}");
+    }
+    assert_eq!(counters.oversized.load(std::sync::atomic::Ordering::SeqCst), ROUNDS);
+    http.shutdown();
+}
