@@ -12,9 +12,9 @@
 use std::borrow::Cow;
 
 use ff_engine::{
-    operand_wake, Activity, ExecutionModel, FuPool, MachineConfig, PendingKind, RetireEvent,
-    RetireHook, RetireMode, RunError, RunResult, RunStats, Scoreboard, SimCase, StallKind,
-    TickMode,
+    operand_wake, Activity, ExecutionModel, FuPool, MachineConfig, ObserveLevel, Observer,
+    PendingKind, RetireEvent, RetireMode, RunError, RunResult, RunStats, Scoreboard, SimCase,
+    StallKind, TickMode,
 };
 use ff_frontend::{FetchUnit, Gshare};
 use ff_isa::eval::{alu, effective_address};
@@ -54,7 +54,7 @@ impl ExecutionModel for InOrder {
     fn try_run_hooked(
         &mut self,
         case: &SimCase<'_>,
-        hook: &mut dyn RetireHook,
+        observer: &mut dyn Observer,
     ) -> Result<RunResult, RunError> {
         let program = case.program;
         let cfg = &self.config;
@@ -71,7 +71,7 @@ impl ExecutionModel for InOrder {
         let mut fu = FuPool::new(cfg);
         let mut stats = RunStats::default();
         let mut activity = Activity::new();
-        let hook_enabled = hook.enabled();
+        let retire_events = observer.level() >= ObserveLevel::Retire;
 
         let mut now: u64 = 0;
         let mut halted = false;
@@ -206,8 +206,8 @@ impl ExecutionModel for InOrder {
                     }
                 }
 
-                if hook_enabled {
-                    hook.on_retire(&RetireEvent {
+                if retire_events {
+                    observer.on_retire(&RetireEvent {
                         seq,
                         cycle: now,
                         pc,
@@ -413,12 +413,13 @@ mod tests {
     fn cycle_budget_watchdog_aborts_long_runs() {
         let (p, mem) = sum_loop(200);
         let case = SimCase::new(&p, mem.clone()).with_cycle_budget(10);
-        let err = InOrder::new(MachineConfig::default()).try_run(&case).unwrap_err();
+        let err =
+            InOrder::new(MachineConfig::default()).try_run_hooked(&case, &mut ()).unwrap_err();
         assert!(matches!(err, RunError::CycleBudgetExceeded { limit: 10, .. }), "{err}");
         // A generous budget changes nothing.
         let full = run_model(&p, mem.clone());
         let case = SimCase::new(&p, mem).with_cycle_budget(full.stats.cycles + 1);
-        let ok = InOrder::new(MachineConfig::default()).try_run(&case).unwrap();
+        let ok = InOrder::new(MachineConfig::default()).try_run_hooked(&case, &mut ()).unwrap();
         assert_eq!(ok.stats, full.stats);
     }
 

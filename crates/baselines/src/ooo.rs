@@ -32,8 +32,9 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 use ff_engine::{
-    Activity, ExecutionModel, FuPool, MachineConfig, RetireEvent, RetireHook, RetireMode, RunError,
-    RunResult, RunStats, SimCase, StallKind, TickMode, TraceStep, TraceStepper,
+    Activity, ExecutionModel, FuPool, MachineConfig, ObserveLevel, Observer, RetireEvent,
+    RetireMode, RunError, RunResult, RunStats, SimCase, StallKind, TickMode, TraceStep,
+    TraceStepper,
 };
 use ff_frontend::Gshare;
 use ff_isa::{FuClass, Op};
@@ -235,9 +236,9 @@ impl ExecutionModel for OutOfOrder {
     fn try_run_hooked(
         &mut self,
         case: &SimCase<'_>,
-        hook: &mut dyn RetireHook,
+        observer: &mut dyn Observer,
     ) -> Result<RunResult, RunError> {
-        self.simulate(case, hook, 0)
+        self.simulate(case, observer, 0)
     }
 }
 
@@ -248,12 +249,12 @@ impl OutOfOrder {
     fn simulate(
         &self,
         case: &SimCase<'_>,
-        hook: &mut dyn RetireHook,
+        observer: &mut dyn Observer,
         extra_slots: usize,
     ) -> Result<RunResult, RunError> {
         let cfg = &self.config;
         let cycle_cap = case.cycle_cap(cfg.max_cycles);
-        let hook_enabled = hook.enabled();
+        let retire_events = observer.level() >= ObserveLevel::Retire;
 
         let mut mem = MemorySystem::new(cfg.hierarchy);
         let mut predictor = Gshare::new(cfg.gshare_entries);
@@ -596,8 +597,8 @@ impl OutOfOrder {
                 if matches!(ti.inst.op(), Op::Halt) && ti.qp_true {
                     retired_halt = true;
                 }
-                if hook_enabled {
-                    hook.on_retire(&RetireEvent {
+                if retire_events {
+                    observer.on_retire(&RetireEvent {
                         seq: ti.seq,
                         cycle: now,
                         pc: ti.pc,
@@ -956,7 +957,6 @@ mod tests {
     /// complete at cycle 0 is exact.
     #[test]
     fn trace_ring_slot_reuse_is_unobservable() {
-        use ff_engine::NullRetireHook;
         use ff_workloads::{Scale, Workload};
 
         let small_rob = MachineConfig { ooo_rob: 20, ..MachineConfig::default() };
@@ -965,8 +965,8 @@ mod tests {
                 for name in ["gzip", "mcf", "art", "equake"] {
                     let w = Workload::by_name(name, Scale::Test).unwrap();
                     let case = SimCase::new(&w.program, w.mem.clone());
-                    let ring = model.simulate(&case, &mut NullRetireHook, 0).unwrap();
-                    let history = model.simulate(&case, &mut NullRetireHook, 1 << 17).unwrap();
+                    let ring = model.simulate(&case, &mut (), 0).unwrap();
+                    let history = model.simulate(&case, &mut (), 1 << 17).unwrap();
                     assert!(history.stats.retired < 1 << 17, "{name}: the large ring wrapped");
                     let id = format!("{} rob={} {name}", model.name(), machine.ooo_rob);
                     assert_eq!(ring.stats, history.stats, "{id}");

@@ -22,9 +22,9 @@
 use std::borrow::Cow;
 
 use ff_engine::{
-    operand_wake, Activity, ExecutionModel, FuPool, MachineConfig, PendingKind, RetireEvent,
-    RetireHook, RetireMode, RunError, RunResult, RunStats, Scoreboard, SimCase, StallKind,
-    TickMode,
+    operand_wake, Activity, ExecutionModel, FuPool, MachineConfig, ObserveLevel, Observer,
+    PendingKind, RetireEvent, RetireMode, RunError, RunResult, RunStats, Scoreboard, SimCase,
+    StallKind, TickMode,
 };
 use ff_frontend::{FetchUnit, Gshare};
 use ff_isa::eval::{alu, effective_address};
@@ -128,7 +128,7 @@ impl ExecutionModel for Runahead {
     fn try_run_hooked(
         &mut self,
         case: &SimCase<'_>,
-        hook: &mut dyn RetireHook,
+        observer: &mut dyn Observer,
     ) -> Result<RunResult, RunError> {
         let program = case.program;
         let cfg = &self.config;
@@ -145,7 +145,7 @@ impl ExecutionModel for Runahead {
         let mut fu = FuPool::new(cfg);
         let mut stats = RunStats::default();
         let mut activity = Activity::new();
-        let hook_enabled = hook.enabled();
+        let retire_events = observer.level() >= ObserveLevel::Retire;
 
         // Runahead episode state: `Some(peek_seq)` while running ahead of a
         // blocking load. The speculative overlay persists across episodes
@@ -281,8 +281,8 @@ impl ExecutionModel for Runahead {
                         }
                     }
 
-                    if hook_enabled {
-                        hook.on_retire(&RetireEvent {
+                    if retire_events {
+                        observer.on_retire(&RetireEvent {
                             seq,
                             cycle: now,
                             pc,

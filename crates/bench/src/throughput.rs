@@ -39,7 +39,9 @@ use std::process::Command;
 use std::time::{Duration, Instant};
 
 use ff_baselines::{InOrder, OutOfOrder, Runahead};
-use ff_engine::{ExecutionModel, MachineConfig, RetireEvent, RetireHook, SimCase, TickMode};
+use ff_engine::{
+    ExecutionModel, MachineConfig, ObserveLevel, Observer, RetireEvent, SimCase, TickMode,
+};
 use ff_harness::json::Json;
 use ff_multipass::Multipass;
 use ff_workloads::{Scale, Workload};
@@ -129,7 +131,11 @@ struct WarmupHook {
     mark: Option<(Instant, u64)>,
 }
 
-impl RetireHook for WarmupHook {
+impl Observer for WarmupHook {
+    fn level(&self) -> ObserveLevel {
+        ObserveLevel::Retire
+    }
+
     fn on_retire(&mut self, event: &RetireEvent<'_>) {
         self.seen += 1;
         if self.seen == self.threshold {
@@ -161,7 +167,8 @@ fn steady_rate(
     // Warm-up run: the first `warmup` retirements train the host
     // (allocator, caches, branch predictors) and are excluded.
     let mut hook = WarmupHook { threshold: warmup, seen: 0, mark: None };
-    let first = m.run_hooked(case, &mut hook);
+    let first =
+        m.try_run_hooked(case, &mut hook).unwrap_or_else(|e| panic!("{e} — runaway program?"));
     let Some((start, warm_cycle)) = hook.mark else {
         return Err(format!(
             "kernel retired only {} instructions — fewer than the warm-up \

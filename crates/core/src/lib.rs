@@ -9,10 +9,11 @@
 //!
 //! The microarchitecture follows §3 of the paper:
 //!
-//! * **Modes** ([`pipeline::Mode`]): *architectural* (multipass structures
-//!   clock-gated), *advance* (speculative preexecution past the stalled
-//!   trigger), and *rally* (architectural resumption accelerated by
-//!   preserved results).
+//! * **Modes** ([`ff_engine::RetireMode`]): *architectural* (multipass
+//!   structures clock-gated), *advance* (speculative preexecution past the
+//!   stalled trigger), and *rally* (architectural resumption accelerated
+//!   by preserved results). Each transition is published to a
+//!   pipeline-level [`ff_engine::Observer`] through `on_mode`.
 //! * **SRF + A-bits**: a speculative register file shadowing the
 //!   architectural one; an A-bit redirects consumers to the SRF, an I-bit
 //!   marks values poisoned by deferred producers.
@@ -58,4 +59,4 @@ pub mod srf;
 
 pub use asc::AdvanceStoreCache;
 pub use config::{MultipassConfig, RestartStrategy};
-pub use pipeline::{Mode, Multipass};
+pub use pipeline::Multipass;

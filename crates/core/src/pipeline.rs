@@ -20,9 +20,9 @@
 
 use ff_engine::{
     operand_stall, operand_wake, Activity, AscForwardObs, CycleObs, EpisodeWindow, ExecutionModel,
-    FuPool, InFlightIndex, MachineConfig, MemAccessObs, NullProbe, NullRetireHook, PendingKind,
-    PipelineProbe, RetireEvent, RetireHook, RetireMode, RunError, RunResult, RunStats, Scoreboard,
-    SimCase, StallKind, TickMode,
+    FuPool, InFlightIndex, MachineConfig, MemAccessObs, ObserveLevel, Observer, PendingKind,
+    RetireEvent, RetireMode, RunError, RunResult, RunStats, Scoreboard, SimCase, StallKind,
+    TickMode,
 };
 use ff_frontend::{FetchUnit, Gshare};
 use ff_isa::eval::{alu, effective_address};
@@ -34,17 +34,6 @@ use crate::asc::{AdvanceStoreCache, AscData, AscLookup};
 use crate::config::{MultipassConfig, RestartStrategy};
 use crate::entry::{MpEntry, RsResult};
 use crate::srf::{Srf, SrfVal};
-
-/// Pipeline mode (paper Figure 3).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Mode {
-    /// Conventional in-order execution; multipass structures clock-gated.
-    Architectural,
-    /// Persistent advance preexecution beyond a stalled trigger.
-    Advance,
-    /// Architectural resumption accelerated by preserved results.
-    Rally,
-}
 
 /// Result of reading one operand during advance execution.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -105,7 +94,7 @@ struct Core<'a> {
     /// buffer span, performs zero heap allocation per instruction in
     /// steady state (DESIGN.md §7e).
     entries: InFlightIndex<MpEntry>,
-    mode: Mode,
+    mode: RetireMode,
     /// PEEK pointer (sequence number) during advance mode.
     peek: u64,
     /// Trigger sequence number of the current advance episode.
@@ -131,16 +120,14 @@ struct Core<'a> {
     /// a restart (footnote 2 of the paper: the restart is timed so the
     /// restarted instruction meets its input at the REG stage).
     advance_wait_until: u64,
-    /// When enabled, records every mode transition as `(cycle, mode)`.
-    mode_trace: Option<Vec<(u64, Mode)>>,
-    /// Retirement observer (triage tooling); `hook_enabled` is hoisted so
-    /// the unhooked path never constructs events.
-    hook: &'a mut dyn RetireHook,
-    hook_enabled: bool,
-    /// Pipeline-observation probe (invariant checking); `probe_enabled` is
-    /// hoisted identically so unprobed runs never build observations.
-    probe: &'a mut dyn PipelineProbe,
-    probe_enabled: bool,
+    /// The run's observer. Its level is read once into the two flags
+    /// below, so an unobserved run never constructs an event.
+    observer: &'a mut dyn Observer,
+    /// The observer wants retirements.
+    retire_events: bool,
+    /// The observer wants every pipeline event; this also makes the
+    /// fast-forward walk quiescent windows cycle by cycle.
+    pipeline_events: bool,
     /// Architectural load wakeups scheduled so far (fault-injection index).
     load_pends: u64,
     exec_pends: u64,
@@ -155,14 +142,8 @@ struct Core<'a> {
 }
 
 impl<'a> Core<'a> {
-    fn new(
-        config: MultipassConfig,
-        case: &SimCase<'a>,
-        hook: &'a mut dyn RetireHook,
-        probe: &'a mut dyn PipelineProbe,
-    ) -> Self {
-        let hook_enabled = hook.enabled();
-        let probe_enabled = probe.enabled();
+    fn new(config: MultipassConfig, case: &SimCase<'a>, observer: &'a mut dyn Observer) -> Self {
+        let level = observer.level();
         let machine = config.machine;
         let mut mem = MemorySystem::new(machine.hierarchy);
         if let Some(n) = config.fault_warp_cache_latency {
@@ -192,7 +173,7 @@ impl<'a> Core<'a> {
             // created at issue and dropped at DEQ/squash), so sizing the
             // ring to it makes steady-state allocation zero.
             entries: InFlightIndex::with_span(machine.multipass_iq + 2),
-            mode: Mode::Architectural,
+            mode: RetireMode::Architectural,
             peek: 0,
             trigger: 0,
             peek_high: 0,
@@ -203,11 +184,9 @@ impl<'a> Core<'a> {
             slot_executed: false,
             consec_deferrals: 0,
             advance_wait_until: 0,
-            mode_trace: None,
-            hook,
-            hook_enabled,
-            probe,
-            probe_enabled,
+            observer,
+            retire_events: level >= ObserveLevel::Retire,
+            pipeline_events: level >= ObserveLevel::Pipeline,
             load_pends: 0,
             exec_pends: 0,
             speculative_forwards: 0,
@@ -217,10 +196,10 @@ impl<'a> Core<'a> {
         }
     }
 
-    fn set_mode(&mut self, mode: Mode) {
+    fn set_mode(&mut self, mode: RetireMode) {
         self.mode = mode;
-        if let Some(trace) = &mut self.mode_trace {
-            trace.push((self.now, mode));
+        if self.pipeline_events {
+            self.observer.on_mode(self.now, mode);
         }
     }
 
@@ -255,21 +234,21 @@ impl<'a> Core<'a> {
         self.sb.set_pending(d, at, PendingKind::Exec);
     }
 
-    /// Publishes a completed data access to the probe.
-    fn probe_mem_access(&mut self, complete_at: u64, level: ff_mem::HitLevel) {
-        if self.probe_enabled {
-            self.probe.on_mem_access(&MemAccessObs { cycle: self.now, complete_at, level });
+    /// Publishes a completed data access to the observer.
+    fn observe_mem_access(&mut self, complete_at: u64, level: ff_mem::HitLevel) {
+        if self.pipeline_events {
+            self.observer.on_mem_access(&MemAccessObs { cycle: self.now, complete_at, level });
         }
     }
 
-    /// Publishes the top-of-cycle pipeline snapshot to the probe.
-    fn probe_cycle(&mut self) {
-        if !self.probe_enabled {
+    /// Publishes the top-of-cycle pipeline snapshot to the observer.
+    fn observe_cycle(&mut self) {
+        if !self.pipeline_events {
             return;
         }
         let obs = CycleObs {
             cycle: self.now,
-            mode: self.retire_mode(),
+            mode: self.mode,
             trigger: self.trigger,
             peek: self.peek,
             peek_high: self.peek_high,
@@ -282,7 +261,7 @@ impl<'a> Core<'a> {
             smaq_capacity: self.cfg.smaq_entries,
             sb_drain: self.sb.drain_cycle(),
         };
-        self.probe.on_cycle(&obs);
+        self.observer.on_cycle(&obs);
     }
 
     fn entry(&self, seq: u64) -> MpEntry {
@@ -318,18 +297,10 @@ impl<'a> Core<'a> {
     }
 
     /// [`RetireMode`] corresponding to the current pipeline mode.
-    fn retire_mode(&self) -> RetireMode {
-        match self.mode {
-            Mode::Architectural => RetireMode::Architectural,
-            Mode::Advance => RetireMode::Advance,
-            Mode::Rally => RetireMode::Rally,
-        }
-    }
-
     /// The advance-episode window reported with retirements outside
     /// architectural mode.
     fn episode_window(&self, deq: u64) -> Option<EpisodeWindow> {
-        if self.mode == Mode::Architectural {
+        if self.mode == RetireMode::Architectural {
             None
         } else {
             Some(EpisodeWindow { trigger: self.trigger, peek: self.peek_high, deq })
@@ -383,7 +354,7 @@ impl<'a> Core<'a> {
     }
 
     fn enter_advance(&mut self, trigger: u64) {
-        self.set_mode(Mode::Advance);
+        self.set_mode(RetireMode::Advance);
         self.trigger = trigger;
         self.peek = trigger;
         self.peek_high = self.peek_high.max(trigger);
@@ -407,7 +378,7 @@ impl<'a> Core<'a> {
     }
 
     fn enter_rally(&mut self) {
-        self.set_mode(Mode::Rally);
+        self.set_mode(RetireMode::Rally);
         self.srf.clear();
         self.asc.clear();
         self.deferred_store = None;
@@ -417,7 +388,7 @@ impl<'a> Core<'a> {
 
     /// One cycle of architectural/rally issue. Returns `(issued, stall)`.
     fn issue_architectural(&mut self) -> (u32, Option<StallKind>) {
-        let regroup = self.cfg.enable_regrouping && self.mode != Mode::Architectural;
+        let regroup = self.cfg.enable_regrouping && self.mode != RetireMode::Architectural;
         let width = self.cfg.machine.issue_width;
         let program = self.program;
         let mut issued = 0u32;
@@ -471,7 +442,7 @@ impl<'a> Core<'a> {
                             let complete_at =
                                 match self.mem.access(addr, AccessKind::DataRead, self.now) {
                                     MemAccess::Done { complete_at, level } => {
-                                        self.probe_mem_access(complete_at, level);
+                                        self.observe_mem_access(complete_at, level);
                                         complete_at
                                     }
                                     MemAccess::Retry => {
@@ -523,13 +494,13 @@ impl<'a> Core<'a> {
                         stored = Some((addr, data));
                     }
                 }
-                if self.probe_enabled {
-                    self.probe.on_issue(seq, self.now);
+                if self.pipeline_events {
+                    self.observer.on_issue(seq, self.now);
                     if let Some((r, _)) = wrote {
-                        self.probe.on_writeback(seq, r, self.now);
+                        self.observer.on_writeback(seq, r, self.now);
                     }
                 }
-                if self.hook_enabled || self.probe_enabled {
+                if self.retire_events {
                     let event = RetireEvent {
                         seq,
                         cycle: self.now,
@@ -538,16 +509,11 @@ impl<'a> Core<'a> {
                         qp_true: None,
                         wrote,
                         stored,
-                        mode: self.retire_mode(),
+                        mode: self.mode,
                         merged: true,
                         episode: self.episode_window(seq),
                     };
-                    if self.hook_enabled {
-                        self.hook.on_retire(&event);
-                    }
-                    if self.probe_enabled {
-                        self.probe.on_retire(&event);
-                    }
+                    self.observer.on_retire(&event);
                 }
                 self.stats.rs_reuses += 1;
                 self.fetch.pop_front();
@@ -602,7 +568,7 @@ impl<'a> Core<'a> {
                             let addr = effective_address(base, inst.imm_val());
                             match self.mem.access(addr, AccessKind::DataRead, self.now) {
                                 MemAccess::Done { complete_at, level } => {
-                                    self.probe_mem_access(complete_at, level);
+                                    self.observe_mem_access(complete_at, level);
                                     let v = self.state.mem.load(addr);
                                     if let Some(d) = inst.writes() {
                                         self.state.write(d, v);
@@ -660,15 +626,15 @@ impl<'a> Core<'a> {
                     }
                 }
 
-                if self.probe_enabled {
-                    self.probe.on_issue(seq, self.now);
+                if self.pipeline_events {
+                    self.observer.on_issue(seq, self.now);
                     if qp_true {
                         if let Some(d) = inst.writes() {
-                            self.probe.on_writeback(seq, d, self.now);
+                            self.observer.on_writeback(seq, d, self.now);
                         }
                     }
                 }
-                if self.hook_enabled || self.probe_enabled {
+                if self.retire_events {
                     let event = RetireEvent {
                         seq,
                         cycle: self.now,
@@ -681,16 +647,11 @@ impl<'a> Core<'a> {
                             None
                         },
                         stored,
-                        mode: self.retire_mode(),
+                        mode: self.mode,
                         merged: false,
                         episode: self.episode_window(seq),
                     };
-                    if self.hook_enabled {
-                        self.hook.on_retire(&event);
-                    }
-                    if self.probe_enabled {
-                        self.probe.on_retire(&event);
-                    }
+                    self.observer.on_retire(&event);
                 }
                 self.fetch.pop_front();
                 self.drop_entry(seq);
@@ -983,8 +944,8 @@ impl<'a> Core<'a> {
                                     }
                                     self.speculative_forwards += 1;
                                 }
-                                if self.probe_enabled {
-                                    self.probe.on_asc_forward(&AscForwardObs {
+                                if self.pipeline_events {
+                                    self.observer.on_asc_forward(&AscForwardObs {
                                         cycle: self.now,
                                         load_seq: seq,
                                         store_seq,
@@ -1026,7 +987,7 @@ impl<'a> Core<'a> {
                                 let v = self.state.mem.load(addr);
                                 match self.mem.access(addr, AccessKind::SpeculativeRead, self.now) {
                                     MemAccess::Done { complete_at, level } => {
-                                        self.probe_mem_access(complete_at, level);
+                                        self.observe_mem_access(complete_at, level);
                                         executions += 1;
                                         self.stats.executions += 1;
                                         self.mark_slot_work();
@@ -1234,7 +1195,7 @@ impl<'a> Core<'a> {
     /// no mode transition may be pending, and the issue stage must be
     /// blocked on a known-latency event. Every skipped cycle is charged
     /// to the same stall category the polled loop would have charged, and
-    /// — when a probe is attached — still publishes its per-cycle
+    /// — for a pipeline-level observer — still publishes its per-cycle
     /// snapshot, so stats, artifacts, and observation streams are
     /// bit-for-bit identical in both tick modes.
     fn fast_forward(&mut self, cycle_cap: u64) {
@@ -1242,11 +1203,11 @@ impl<'a> Core<'a> {
             return;
         }
         // Pending mode transitions must be taken by the polled path so
-        // the mode trace and per-mode cycle counts stay exact.
-        if self.mode == Mode::Advance && self.head_issueable() {
+        // mode events and per-mode cycle counts stay exact.
+        if self.mode == RetireMode::Advance && self.head_issueable() {
             return;
         }
-        if self.mode == Mode::Rally && self.fetch.head_seq() >= self.peek_high {
+        if self.mode == RetireMode::Rally && self.fetch.head_seq() >= self.peek_high {
             return;
         }
         // Fetch must be idle for the whole window; `fetch_wake` bounds it.
@@ -1264,7 +1225,7 @@ impl<'a> Core<'a> {
             (self.stall_until, StallKind::Other, 0)
         } else {
             match self.mode {
-                Mode::Advance => {
+                RetireMode::Advance => {
                     if self.now < self.advance_wait_until {
                         // Restarted pass timed to meet an arrival; the
                         // head may become issueable first (rally entry).
@@ -1283,7 +1244,7 @@ impl<'a> Core<'a> {
                         }
                     }
                 }
-                Mode::Architectural | Mode::Rally => {
+                RetireMode::Architectural | RetireMode::Rally => {
                     let seq = self.fetch.head_seq();
                     match self.fetch.get(seq) {
                         None => (u64::MAX, StallKind::FrontEnd, 0),
@@ -1317,11 +1278,11 @@ impl<'a> Core<'a> {
         if wake <= self.now {
             return;
         }
-        if self.probe_enabled {
-            // Probes observe every cycle, skipped or not: emit the same
-            // per-cycle snapshots the polled loop would have.
+        if self.pipeline_events {
+            // Pipeline-level observers see every cycle, skipped or not:
+            // emit the same per-cycle snapshots the polled loop would have.
             while self.now < wake {
-                self.probe_cycle();
+                self.observe_cycle();
                 self.stats.breakdown.charge(kind);
                 self.activity.select_visits += visits;
                 self.bump_mode_cycles();
@@ -1332,9 +1293,9 @@ impl<'a> Core<'a> {
             self.stats.breakdown.charge_n(kind, skipped);
             self.activity.select_visits += visits * skipped;
             match self.mode {
-                Mode::Advance => self.stats.spec_mode_cycles += skipped,
-                Mode::Rally => self.stats.rally_cycles += skipped,
-                Mode::Architectural => {}
+                RetireMode::Advance => self.stats.spec_mode_cycles += skipped,
+                RetireMode::Rally => self.stats.rally_cycles += skipped,
+                RetireMode::Architectural => {}
             }
             self.now = wake;
         }
@@ -1352,11 +1313,11 @@ impl<'a> Core<'a> {
                 });
             }
             assert!(self.stats.retired < case.max_insts, "instruction budget exceeded");
-            if self.probe_enabled {
+            if self.pipeline_events {
                 let before = self.fetch.next_seq();
                 self.fetch.tick(self.program, &mut self.mem, self.now);
                 for s in before..self.fetch.next_seq() {
-                    self.probe.on_fetch(s, self.now);
+                    self.observer.on_fetch(s, self.now);
                 }
             } else {
                 self.fetch.tick(self.program, &mut self.mem, self.now);
@@ -1364,16 +1325,16 @@ impl<'a> Core<'a> {
             self.fu.new_cycle(self.now);
 
             // Advance → rally as soon as the trigger's operand arrives.
-            if self.mode == Mode::Advance && self.head_issueable() {
+            if self.mode == RetireMode::Advance && self.head_issueable() {
                 self.enter_rally();
             }
             // Rally → architectural when DEQ catches the PEEK high-water
             // mark: nothing deferred remains in flight.
-            if self.mode == Mode::Rally && self.fetch.head_seq() >= self.peek_high {
-                self.set_mode(Mode::Architectural);
+            if self.mode == RetireMode::Rally && self.fetch.head_seq() >= self.peek_high {
+                self.set_mode(RetireMode::Architectural);
             }
 
-            self.probe_cycle();
+            self.observe_cycle();
 
             if self.now < self.stall_until {
                 // Value-misspeculation flush penalty.
@@ -1387,7 +1348,7 @@ impl<'a> Core<'a> {
             }
 
             match self.mode {
-                Mode::Architectural | Mode::Rally => {
+                RetireMode::Architectural | RetireMode::Rally => {
                     let (issued, stall) = self.issue_architectural();
                     if issued > 0 {
                         self.stats.breakdown.charge(StallKind::Execution);
@@ -1401,7 +1362,7 @@ impl<'a> Core<'a> {
                         self.enter_advance(self.fetch.head_seq());
                     }
                 }
-                Mode::Advance => {
+                RetireMode::Advance => {
                     let executions = if self.now < self.advance_wait_until {
                         0 // pass restarted and timed to meet an arrival
                     } else {
@@ -1447,9 +1408,9 @@ impl<'a> Core<'a> {
 
     fn bump_mode_cycles(&mut self) {
         match self.mode {
-            Mode::Advance => self.stats.spec_mode_cycles += 1,
-            Mode::Rally => self.stats.rally_cycles += 1,
-            Mode::Architectural => {}
+            RetireMode::Advance => self.stats.spec_mode_cycles += 1,
+            RetireMode::Rally => self.stats.rally_cycles += 1,
+            RetireMode::Architectural => {}
         }
     }
 }
@@ -1474,43 +1435,11 @@ impl ExecutionModel for Multipass {
     fn try_run_hooked(
         &mut self,
         case: &SimCase<'_>,
-        hook: &mut dyn RetireHook,
+        observer: &mut dyn Observer,
     ) -> Result<RunResult, RunError> {
-        let mut probe = NullProbe;
-        let mut core = Core::new(self.config, case, hook, &mut probe);
+        let mut core = Core::new(self.config, case, observer);
         core.tick = self.tick;
         core.run(case)
-    }
-
-    fn try_run_probed(
-        &mut self,
-        case: &SimCase<'_>,
-        hook: &mut dyn RetireHook,
-        probe: &mut dyn PipelineProbe,
-    ) -> Result<RunResult, RunError> {
-        // Unlike the default tee, the multipass core publishes the deep
-        // per-cycle observations itself; retirements reach both the hook
-        // and the probe directly.
-        let mut core = Core::new(self.config, case, hook, probe);
-        core.tick = self.tick;
-        let result = core.run(case)?;
-        probe.on_run_end(&result);
-        Ok(result)
-    }
-}
-
-impl Multipass {
-    /// Runs `case` while recording every mode transition as
-    /// `(cycle, mode)` — useful for visualizing the
-    /// architectural → advance → rally choreography of Figure 4.
-    pub fn run_traced(&mut self, case: &SimCase<'_>) -> (RunResult, Vec<(u64, Mode)>) {
-        let mut null = NullRetireHook;
-        let mut null_probe = NullProbe;
-        let mut core = Core::new(self.config, case, &mut null, &mut null_probe);
-        core.tick = self.tick;
-        core.mode_trace = Some(Vec::new());
-        let result = core.run(case).unwrap_or_else(|e| panic!("{e} — runaway program?"));
-        (result, core.mode_trace.take().unwrap_or_default())
     }
 }
 
@@ -1580,7 +1509,8 @@ mod tests {
     fn cycle_budget_watchdog_aborts_multipass_runs() {
         let (p, mem) = figure1_workload(64);
         let case = SimCase::new(&p, mem).with_cycle_budget(20);
-        let err = Multipass::new(MachineConfig::default()).try_run(&case).unwrap_err();
+        let err =
+            Multipass::new(MachineConfig::default()).try_run_hooked(&case, &mut ()).unwrap_err();
         assert!(matches!(err, RunError::CycleBudgetExceeded { limit: 20, .. }), "{err}");
     }
 
@@ -1732,15 +1662,26 @@ mod tests {
     }
 
     #[test]
-    fn run_traced_records_mode_transitions() {
+    fn mode_events_record_transitions() {
+        struct ModeLog(Vec<(u64, RetireMode)>);
+        impl Observer for ModeLog {
+            fn level(&self) -> ObserveLevel {
+                ObserveLevel::Pipeline
+            }
+            fn on_mode(&mut self, cycle: u64, mode: RetireMode) {
+                self.0.push((cycle, mode));
+            }
+        }
         let (p, mem) = figure1_workload(24);
         let case = SimCase::new(&p, mem);
-        let (r, trace) = Multipass::new(MachineConfig::default()).run_traced(&case);
+        let mut log = ModeLog(Vec::new());
+        let r = Multipass::new(MachineConfig::default()).try_run_hooked(&case, &mut log).unwrap();
+        let trace = log.0;
         assert!(!trace.is_empty(), "no transitions recorded");
         // Cycles are non-decreasing, and advance/rally both appear.
         assert!(trace.windows(2).all(|w| w[0].0 <= w[1].0));
-        assert!(trace.iter().any(|(_, m)| *m == Mode::Advance));
-        assert!(trace.iter().any(|(_, m)| *m == Mode::Rally));
+        assert!(trace.iter().any(|(_, m)| *m == RetireMode::Advance));
+        assert!(trace.iter().any(|(_, m)| *m == RetireMode::Rally));
         // Tracing must not perturb timing.
         let plain = Multipass::new(MachineConfig::default()).run(&case);
         assert_eq!(plain.stats.cycles, r.stats.cycles);

@@ -5,8 +5,8 @@
 //! end-of-run `semantically_eq` oracle only says *that* the final states
 //! differ — often millions of dynamic instructions after the actual bug.
 //!
-//! [`LockstepChecker`] closes that gap: it is a
-//! [`RetireHook`](ff_engine::RetireHook) that steps the golden interpreter
+//! [`LockstepChecker`] closes that gap: it is a retirement-level
+//! [`Observer`] that steps the golden interpreter
 //! once per [`RetireEvent`] and cross-checks, in order,
 //!
 //! 1. **control** — the retired pc against the golden next-pc;
@@ -34,8 +34,8 @@
 use std::fmt;
 
 use ff_engine::{
-    EpisodeWindow, ExecutionModel, RetireEvent, RetireHook, RetireMode, RetireRing, RunResult,
-    SimCase,
+    EpisodeWindow, ExecutionModel, ObserveLevel, Observer, RetireEvent, RetireMode, RetireRing,
+    RunResult, SimCase,
 };
 use ff_isa::eval::effective_address;
 use ff_isa::interp::Interpreter;
@@ -180,9 +180,9 @@ impl fmt::Display for Divergence {
     }
 }
 
-/// A [`RetireHook`](ff_engine::RetireHook) that runs the golden
-/// interpreter in lockstep with a model's retirement stream and freezes
-/// the first divergence.
+/// A retirement-level [`Observer`] that runs the golden interpreter in
+/// lockstep with a model's retirement stream and freezes the first
+/// divergence.
 ///
 /// After the model run, [`LockstepChecker::divergence`] holds the verdict.
 pub struct LockstepChecker<'a> {
@@ -309,7 +309,11 @@ impl<'a> LockstepChecker<'a> {
     }
 }
 
-impl RetireHook for LockstepChecker<'_> {
+impl Observer for LockstepChecker<'_> {
+    fn level(&self) -> ObserveLevel {
+        ObserveLevel::Retire
+    }
+
     fn on_retire(&mut self, event: &RetireEvent) {
         if self.divergence.is_some() {
             return; // frozen on the first divergence
@@ -379,7 +383,9 @@ impl fmt::Display for ComparisonReport {
 /// reports the first divergence (if any) plus end-of-run comparisons.
 pub fn compare_model(model: &mut dyn ExecutionModel, case: &SimCase<'_>) -> ComparisonReport {
     let mut checker = LockstepChecker::new(case);
-    let result = model.run_hooked(case, &mut checker);
+    let result = model
+        .try_run_hooked(case, &mut checker)
+        .unwrap_or_else(|e| panic!("{e} — runaway program?"));
 
     let mut golden = Interpreter::with_state(case.program, case.initial_state());
     golden.run(case.max_insts).expect("golden interpreter failed on workload program");

@@ -19,8 +19,10 @@
 //!   trace-driven out-of-order timing models;
 //! * [`ExecutionModel`] — the trait every pipeline model implements, and
 //!   [`SimCase`]/[`RunResult`] — its input/output types;
-//! * [`RetireHook`]/[`RetireEvent`] — retirement-granularity
-//!   instrumentation consumed by the `ff-debug` triage tooling;
+//! * [`Observer`] — the one read-only observation interface every model
+//!   publishes to ([`RetireEvent`]s, and for multipass per-cycle, memory,
+//!   store-forwarding and mode-transition events), behind the lockstep
+//!   checker, the sentinels and mode tracing;
 //! * [`Slab`]/[`InFlightIndex`] — allocation-free in-flight state
 //!   containers backing the steady-state zero-allocation invariant
 //!   (DESIGN.md §7e).
@@ -43,8 +45,8 @@ pub use activity::Activity;
 pub use config::MachineConfig;
 pub use fu::FuPool;
 pub use model::{ExecutionModel, RunError, RunResult, SimCase, TickMode};
-pub use probe::{AscForwardObs, CycleObs, MemAccessObs, NullProbe, PipelineProbe, RetireTee};
-pub use retire::{EpisodeWindow, NullRetireHook, RetireEvent, RetireHook, RetireMode, RetireRing};
+pub use probe::{AscForwardObs, CycleObs, MemAccessObs, ObserveLevel, Observer};
+pub use retire::{EpisodeWindow, RetireEvent, RetireMode, RetireRing};
 pub use scoreboard::{operand_stall, operand_wake, PendingKind, Scoreboard};
 pub use slab::{InFlightIndex, Slab, SlotId};
 pub use stats::{RunStats, StallKind};

@@ -6,8 +6,7 @@ use ff_isa::{ArchState, MemoryImage, Program};
 use ff_mem::MemStats;
 
 use crate::activity::Activity;
-use crate::probe::{PipelineProbe, RetireTee};
-use crate::retire::{NullRetireHook, RetireHook};
+use crate::probe::Observer;
 use crate::stats::RunStats;
 
 /// One simulation input: a compiled program plus its initial data memory.
@@ -89,8 +88,7 @@ impl std::error::Error for RunError {}
 /// How a model advances simulated time.
 ///
 /// Both modes are required to produce bit-for-bit identical results —
-/// the same [`RunResult`], retirement stream, and probe observation
-/// stream. The event-driven mode is purely a simulator-throughput
+/// the same [`RunResult`] and the same [`Observer`] event stream. The event-driven mode is purely a simulator-throughput
 /// optimization: it fast-forwards *quiescent* stretches (cycles proven to
 /// have no observable work beyond charging a stall cycle) to the next
 /// registered wake event instead of ticking them one by one.
@@ -139,10 +137,10 @@ pub trait ExecutionModel: Send {
     }
 
     /// Simulates `case` until the program halts or the effective cycle
-    /// cap ([`SimCase::cycle_cap`]) is hit, reporting every retired
-    /// dynamic instruction to `hook` in retirement order. The hook must
-    /// not affect timing: all `run*` variants produce identical
-    /// [`RunResult`]s.
+    /// cap ([`SimCase::cycle_cap`]) is hit, publishing the events
+    /// `observer` asks for (see [`Observer::level`]). Observation never
+    /// affects timing: the run returns the identical [`RunResult`] under
+    /// every observer, `()` included.
     ///
     /// # Errors
     ///
@@ -155,67 +153,18 @@ pub trait ExecutionModel: Send {
     fn try_run_hooked(
         &mut self,
         case: &SimCase<'_>,
-        hook: &mut dyn RetireHook,
+        observer: &mut dyn Observer,
     ) -> Result<RunResult, RunError>;
 
-    /// Simulates `case` to completion, reporting retirements to `hook`.
+    /// Simulates `case` to completion, unobserved, and returns the run's
+    /// results.
     ///
     /// # Panics
     ///
     /// Panics on [`RunError`] (cycle cap exceeded — runaway program?) and
     /// on an exceeded instruction budget.
-    fn run_hooked(&mut self, case: &SimCase<'_>, hook: &mut dyn RetireHook) -> RunResult {
-        match self.try_run_hooked(case, hook) {
-            Ok(r) => r,
-            Err(e) => panic!("{e} — runaway program?"),
-        }
-    }
-
-    /// Simulates `case` while publishing pipeline observations to `probe`
-    /// (see [`PipelineProbe`]) in addition to reporting retirements to
-    /// `hook`. Probes are strictly read-only: a probed run produces a
-    /// [`RunResult`] identical to an unprobed one.
-    ///
-    /// The default implementation tees retirements into the probe and
-    /// publishes the end-of-run result; models with deeper instrumentation
-    /// (the multipass pipeline) override it to also publish per-cycle,
-    /// memory-completion, and store-forwarding observations.
-    ///
-    /// # Errors
-    ///
-    /// See [`ExecutionModel::try_run_hooked`]. On error the probe receives
-    /// no end-of-run observation.
-    fn try_run_probed(
-        &mut self,
-        case: &SimCase<'_>,
-        hook: &mut dyn RetireHook,
-        probe: &mut dyn PipelineProbe,
-    ) -> Result<RunResult, RunError> {
-        let result = {
-            let mut tee = RetireTee::new(hook, probe);
-            self.try_run_hooked(case, &mut tee)?
-        };
-        probe.on_run_end(&result);
-        Ok(result)
-    }
-
-    /// Fallible variant of [`ExecutionModel::run`]: simulates `case` and
-    /// returns the results, or a [`RunError`] if the cycle cap was hit.
-    ///
-    /// # Errors
-    ///
-    /// See [`ExecutionModel::try_run_hooked`].
-    fn try_run(&mut self, case: &SimCase<'_>) -> Result<RunResult, RunError> {
-        self.try_run_hooked(case, &mut NullRetireHook)
-    }
-
-    /// Simulates `case` to completion and returns the run's results.
-    ///
-    /// # Panics
-    ///
-    /// See [`ExecutionModel::run_hooked`].
     fn run(&mut self, case: &SimCase<'_>) -> RunResult {
-        self.run_hooked(case, &mut NullRetireHook)
+        self.try_run_hooked(case, &mut ()).unwrap_or_else(|e| panic!("{e} — runaway program?"))
     }
 }
 

@@ -1,23 +1,27 @@
-//! Pipeline probes: cycle-level observation hooks for invariant checking.
+//! The [`Observer`]: one observation interface for every execution model.
 //!
-//! A [`PipelineProbe`] is the engine-side wiring that the `ff-sentinel`
-//! invariant checkers plug into. Models publish *observations* — fetches,
-//! issues, writebacks, retirements, per-cycle pointer/occupancy snapshots,
-//! memory completions, and store-forwarding decisions — and a probe
-//! consumes them without ever feeding anything back, so a probed run is
-//! cycle-for-cycle identical to an unprobed one.
+//! Models publish *events* — fetches, issues, writebacks, retirements,
+//! per-cycle pointer/occupancy snapshots, memory completions,
+//! store-forwarding decisions and mode transitions — and an observer
+//! consumes them without ever feeding anything back, so an observed run is
+//! cycle-for-cycle identical to an unobserved one. The `ff-debug` lockstep
+//! checker, the `ff-sentinel` invariant checkers, the campaign crash-bundle
+//! ring and mode tracing are all observers.
 //!
-//! All models deliver retirements and the end-of-run result through the
-//! default [`ExecutionModel::try_run_probed`](crate::ExecutionModel::try_run_probed)
-//! plumbing; the multipass pipeline additionally publishes the deep
-//! per-cycle observations ([`CycleObs`], [`MemAccessObs`],
-//! [`AscForwardObs`]) from inside its core loop.
+//! Each observer declares once, through [`Observer::level`], how much of
+//! the run it wants to see ([`ObserveLevel`]); models read the level once
+//! per run and never build an event above it. Every model publishes
+//! retirements; the multipass pipeline additionally publishes the
+//! pipeline-level events ([`CycleObs`], [`MemAccessObs`],
+//! [`AscForwardObs`], mode transitions) from inside its core loop. Only a
+//! pipeline-level observer makes the multipass core walk quiescent stall
+//! windows cycle by cycle: a retirement-level observer (the campaign's
+//! crash-bundle ring) leaves the fast-forward on.
 
 use ff_isa::Reg;
 use ff_mem::HitLevel;
 
-use crate::model::RunResult;
-use crate::retire::{RetireEvent, RetireHook, RetireMode};
+use crate::retire::{RetireEvent, RetireMode};
 
 /// One cycle's worth of multipass pipeline state, published at the top of
 /// the cycle (after mode transitions, before issue).
@@ -78,137 +82,134 @@ pub struct AscForwardObs {
     pub s_bit: bool,
 }
 
-/// Observation hooks published by a pipeline model.
-///
-/// Every hook has a no-op default, so a probe implements only what it
-/// needs. [`PipelineProbe::enabled`] is hoisted by models exactly like
-/// [`RetireHook::enabled`]: when it returns `false`, observation structs
-/// are never even constructed.
-pub trait PipelineProbe {
-    /// Whether this probe wants observations at all.
-    fn enabled(&self) -> bool {
-        true
-    }
+/// How much of a run an [`Observer`] wants to see. Levels are ordered:
+/// each includes everything below it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum ObserveLevel {
+    /// No events: the model builds none, exactly like an unobserved run.
+    Nothing,
+    /// Retirements only ([`Observer::on_retire`]).
+    Retire,
+    /// Every event, including the per-cycle ones. Forces the multipass
+    /// core to walk quiescent stall windows one cycle at a time.
+    Pipeline,
+}
 
-    /// An instruction entered the fetch buffer.
+/// A read-only watcher of one simulation run.
+///
+/// Every event method has a no-op default, so an observer implements only
+/// what it needs; it receives only the events at or below its
+/// [`Observer::level`]. Events arrive in simulation order with
+/// non-decreasing cycles; retirements arrive in program order.
+pub trait Observer {
+    /// Which events this observer wants. Models read it once per run.
+    fn level(&self) -> ObserveLevel;
+
+    /// An instruction entered the fetch buffer (pipeline level).
     fn on_fetch(&mut self, seq: u64, cycle: u64) {
         let _ = (seq, cycle);
     }
 
-    /// An instruction issued (architecturally or in an advance pass).
+    /// An instruction issued, architecturally or in an advance pass
+    /// (pipeline level).
     fn on_issue(&mut self, seq: u64, cycle: u64) {
         let _ = (seq, cycle);
     }
 
-    /// An instruction wrote an architectural register.
+    /// An instruction wrote an architectural register (pipeline level).
     fn on_writeback(&mut self, seq: u64, reg: Reg, cycle: u64) {
         let _ = (seq, reg, cycle);
     }
 
-    /// An instruction retired.
+    /// An instruction retired (retirement level).
     fn on_retire(&mut self, event: &RetireEvent<'_>) {
         let _ = event;
     }
 
-    /// Top-of-cycle pipeline snapshot (multipass only).
+    /// Top-of-cycle pipeline snapshot (pipeline level, multipass only).
     fn on_cycle(&mut self, obs: &CycleObs) {
         let _ = obs;
     }
 
-    /// A data access completed with a promised latency (multipass only).
+    /// A data access completed with a promised latency (pipeline level,
+    /// multipass only).
     fn on_mem_access(&mut self, obs: &MemAccessObs) {
         let _ = obs;
     }
 
-    /// The ASC forwarded a store value into a load (multipass only).
+    /// The ASC forwarded a store value into a load (pipeline level,
+    /// multipass only).
     fn on_asc_forward(&mut self, obs: &AscForwardObs) {
         let _ = obs;
     }
 
-    /// The run completed; `result` carries the final statistics.
-    fn on_run_end(&mut self, result: &RunResult) {
-        let _ = result;
+    /// The pipeline switched to `mode` at `cycle` — the architectural →
+    /// advance → rally choreography of the paper's Figure 4 (pipeline
+    /// level, multipass only).
+    fn on_mode(&mut self, cycle: u64, mode: RetireMode) {
+        let _ = (cycle, mode);
     }
 }
 
-/// A probe that observes nothing and reports itself disabled, letting
-/// models skip observation construction entirely.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullProbe;
-
-impl PipelineProbe for NullProbe {
-    fn enabled(&self) -> bool {
-        false
+/// The null observer: wants nothing, so models skip building events.
+impl Observer for () {
+    fn level(&self) -> ObserveLevel {
+        ObserveLevel::Nothing
     }
 }
 
-/// Retire-hook adapter that tees retirements to both a caller's hook and
-/// a probe — the default [`ExecutionModel::try_run_probed`](crate::ExecutionModel::try_run_probed)
-/// plumbing for models without deeper instrumentation.
-pub struct RetireTee<'a> {
-    hook: &'a mut dyn RetireHook,
-    hook_enabled: bool,
-    probe: &'a mut dyn PipelineProbe,
-}
-
-impl<'a> RetireTee<'a> {
-    /// Tees retirements into `hook` (when it is enabled) and `probe`.
-    pub fn new(hook: &'a mut dyn RetireHook, probe: &'a mut dyn PipelineProbe) -> Self {
-        let hook_enabled = hook.enabled();
-        RetireTee { hook, hook_enabled, probe }
+/// Tees every event to two observers. The pair wants the larger of the two
+/// levels, and each side still receives only the events at or below its
+/// own level.
+impl<A: Observer + ?Sized, B: Observer + ?Sized> Observer for (&mut A, &mut B) {
+    fn level(&self) -> ObserveLevel {
+        self.0.level().max(self.1.level())
     }
-}
 
-impl RetireHook for RetireTee<'_> {
-    fn enabled(&self) -> bool {
-        true
+    fn on_fetch(&mut self, seq: u64, cycle: u64) {
+        deliver(&mut *self.0, ObserveLevel::Pipeline, |o| o.on_fetch(seq, cycle));
+        deliver(&mut *self.1, ObserveLevel::Pipeline, |o| o.on_fetch(seq, cycle));
+    }
+
+    fn on_issue(&mut self, seq: u64, cycle: u64) {
+        deliver(&mut *self.0, ObserveLevel::Pipeline, |o| o.on_issue(seq, cycle));
+        deliver(&mut *self.1, ObserveLevel::Pipeline, |o| o.on_issue(seq, cycle));
+    }
+
+    fn on_writeback(&mut self, seq: u64, reg: Reg, cycle: u64) {
+        deliver(&mut *self.0, ObserveLevel::Pipeline, |o| o.on_writeback(seq, reg, cycle));
+        deliver(&mut *self.1, ObserveLevel::Pipeline, |o| o.on_writeback(seq, reg, cycle));
     }
 
     fn on_retire(&mut self, event: &RetireEvent<'_>) {
-        if self.hook_enabled {
-            self.hook.on_retire(event);
-        }
-        self.probe.on_retire(event);
+        deliver(&mut *self.0, ObserveLevel::Retire, |o| o.on_retire(event));
+        deliver(&mut *self.1, ObserveLevel::Retire, |o| o.on_retire(event));
+    }
+
+    fn on_cycle(&mut self, obs: &CycleObs) {
+        deliver(&mut *self.0, ObserveLevel::Pipeline, |o| o.on_cycle(obs));
+        deliver(&mut *self.1, ObserveLevel::Pipeline, |o| o.on_cycle(obs));
+    }
+
+    fn on_mem_access(&mut self, obs: &MemAccessObs) {
+        deliver(&mut *self.0, ObserveLevel::Pipeline, |o| o.on_mem_access(obs));
+        deliver(&mut *self.1, ObserveLevel::Pipeline, |o| o.on_mem_access(obs));
+    }
+
+    fn on_asc_forward(&mut self, obs: &AscForwardObs) {
+        deliver(&mut *self.0, ObserveLevel::Pipeline, |o| o.on_asc_forward(obs));
+        deliver(&mut *self.1, ObserveLevel::Pipeline, |o| o.on_asc_forward(obs));
+    }
+
+    fn on_mode(&mut self, cycle: u64, mode: RetireMode) {
+        deliver(&mut *self.0, ObserveLevel::Pipeline, |o| o.on_mode(cycle, mode));
+        deliver(&mut *self.1, ObserveLevel::Pipeline, |o| o.on_mode(cycle, mode));
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn null_probe_is_disabled() {
-        assert!(!NullProbe.enabled());
-    }
-
-    #[test]
-    fn tee_forwards_to_both_sides() {
-        struct CountProbe(u64);
-        impl PipelineProbe for CountProbe {
-            fn on_retire(&mut self, _: &RetireEvent<'_>) {
-                self.0 += 1;
-            }
-        }
-        let mut ring = crate::retire::RetireRing::new(4);
-        let mut probe = CountProbe(0);
-        let mut p = ff_isa::Program::new();
-        let b = p.add_block();
-        p.push(b, ff_isa::Inst::new(ff_isa::Op::Nop));
-        let ev = RetireEvent {
-            seq: 0,
-            cycle: 3,
-            pc: p.first_pc_from(ff_isa::program::BlockId(0)).unwrap(),
-            inst: std::borrow::Cow::Owned(ff_isa::Inst::new(ff_isa::Op::Nop)),
-            qp_true: None,
-            wrote: None,
-            stored: None,
-            mode: RetireMode::Architectural,
-            merged: false,
-            episode: None,
-        };
-        let mut tee = RetireTee::new(&mut ring, &mut probe);
-        tee.on_retire(&ev);
-        assert_eq!(ring.total(), 1);
-        assert_eq!(probe.0, 1);
+/// Hands one event at level `at` to `observer` if it wants that level.
+fn deliver<O: Observer + ?Sized>(observer: &mut O, at: ObserveLevel, event: impl FnOnce(&mut O)) {
+    if observer.level() >= at {
+        event(observer);
     }
 }

@@ -1,15 +1,15 @@
-//! Retirement-event instrumentation shared by every execution model.
+//! Retirement events, the observation every execution model publishes.
 //!
 //! Every pipeline model retires the same architectural instruction stream
-//! (that is the whole point of the equivalence oracle), so a hook at
-//! retirement granularity is the natural place to observe a model's
-//! architectural effects without perturbing its timing. A model invoked
-//! through [`crate::ExecutionModel::run_hooked`] reports one
+//! (that is the whole point of the equivalence oracle), so retirement
+//! granularity is the natural place to observe a model's architectural
+//! effects without perturbing its timing. A model run with an
+//! [`Observer`] at [`ObserveLevel::Retire`] or above reports one
 //! [`RetireEvent`] per retired dynamic instruction — its location, the
 //! register it wrote, the store it performed, and (for multipass) the mode
-//! and advance-episode window active at retirement. The `ff-debug` crate
-//! consumes these events to run a golden interpreter in lockstep and report
-//! the *first divergence* of a buggy model.
+//! and advance-episode window active at retirement.
+//! The `ff-debug` crate consumes these events to run a golden interpreter
+//! in lockstep and report the *first divergence* of a buggy model.
 
 use std::borrow::Cow;
 use std::collections::VecDeque;
@@ -17,12 +17,15 @@ use std::fmt;
 
 use ff_isa::{Inst, Pc, Reg};
 
-/// Pipeline mode at the moment of retirement.
+use crate::probe::{ObserveLevel, Observer};
+
+/// Pipeline mode (paper Figure 3), as carried by retirements, cycle
+/// snapshots and mode transitions.
 ///
 /// The baselines always retire in [`RetireMode::Architectural`]; the
 /// multipass pipeline also retires during rally (merging preserved
 /// results). No instruction retires during advance preexecution, but the
-/// variant exists so hooks can render mode traces uniformly.
+/// multipass pipeline spends whole stall windows there.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RetireMode {
     /// Conventional in-order execution.
@@ -63,8 +66,8 @@ impl fmt::Display for EpisodeWindow {
 
 /// One architecturally retired dynamic instruction.
 ///
-/// The event fires once per retired instruction whenever any hook or
-/// probe is enabled, so the instruction itself is carried as a
+/// The event fires once per retired instruction whenever the run's
+/// observer wants retirements, so the instruction itself is carried as a
 /// [`Cow`]: models borrow it straight out of the program (no per-retire
 /// clone on the hot path), while observers that outlive the retirement
 /// call [`RetireEvent::into_owned`] to detach it.
@@ -156,35 +159,6 @@ impl fmt::Display for RetireEvent<'_> {
     }
 }
 
-/// Observer of the retirement stream.
-///
-/// Implementations must not assume anything about timing: events arrive in
-/// retirement (program) order with non-decreasing cycles, nothing more.
-pub trait RetireHook {
-    /// Whether this hook consumes events at all. Models hoist this check
-    /// and skip constructing [`RetireEvent`]s entirely when it returns
-    /// false, so the un-instrumented `run` path stays free of per-retire
-    /// overhead.
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    /// Called once per retired dynamic instruction, in retirement order.
-    fn on_retire(&mut self, event: &RetireEvent<'_>);
-}
-
-/// A hook that ignores every event (the default for plain `run`).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullRetireHook;
-
-impl RetireHook for NullRetireHook {
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    fn on_retire(&mut self, _event: &RetireEvent<'_>) {}
-}
-
 /// A bounded ring buffer over the most recent retirements.
 ///
 /// Used by triage tooling to show the instructions leading up to a
@@ -243,7 +217,11 @@ impl RetireRing {
     }
 }
 
-impl RetireHook for RetireRing {
+impl Observer for RetireRing {
+    fn level(&self) -> ObserveLevel {
+        ObserveLevel::Retire
+    }
+
     fn on_retire(&mut self, event: &RetireEvent<'_>) {
         self.push_owned(event.to_detached());
     }
@@ -287,11 +265,46 @@ mod tests {
     }
 
     #[test]
-    fn ring_acts_as_a_hook() {
+    fn ring_acts_as_an_observer() {
         let mut ring = RetireRing::new(8);
         let ev = event(0);
         ring.on_retire(&ev);
         assert_eq!(ring.len(), 1);
+    }
+
+    #[test]
+    fn unit_observer_wants_nothing() {
+        assert_eq!(().level(), ObserveLevel::Nothing);
+    }
+
+    #[test]
+    fn pair_tees_each_side_up_to_its_own_level() {
+        /// Counts retirements and mode transitions received.
+        struct Count(ObserveLevel, u64, u64);
+        impl Observer for Count {
+            fn level(&self) -> ObserveLevel {
+                self.0
+            }
+            fn on_retire(&mut self, _: &RetireEvent<'_>) {
+                self.1 += 1;
+            }
+            fn on_mode(&mut self, _: u64, _: RetireMode) {
+                self.2 += 1;
+            }
+        }
+        let (mut ring, mut deep) = (RetireRing::new(4), Count(ObserveLevel::Pipeline, 0, 0));
+        let mut pair = (&mut ring, &mut deep);
+        assert_eq!(pair.level(), ObserveLevel::Pipeline);
+        pair.on_retire(&event(0));
+        pair.on_mode(1, RetireMode::Advance);
+        assert_eq!((ring.total(), deep.1, deep.2), (1, 1, 1));
+
+        let (mut shallow, mut none) = (Count(ObserveLevel::Retire, 0, 0), ());
+        let mut pair = (&mut shallow, &mut none);
+        assert_eq!(pair.level(), ObserveLevel::Retire);
+        pair.on_retire(&event(0));
+        pair.on_mode(1, RetireMode::Advance);
+        assert_eq!((shallow.1, shallow.2), (1, 0));
     }
 
     #[test]

@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use ff_baselines::{InOrder, OutOfOrder, Runahead};
-use ff_engine::{ExecutionModel, MachineConfig, RetireHook, RunError, RunResult, SimCase};
+use ff_engine::{ExecutionModel, MachineConfig, RunError, RunResult, SimCase};
 use ff_mem::HierarchyConfig;
 use ff_multipass::{Multipass, MultipassConfig};
 use ff_workloads::{Scale, Workload};
@@ -258,24 +258,7 @@ impl Suite {
         hier: HierKind,
         case: &SimCase<'_>,
     ) -> Result<RunResult, RunError> {
-        Self::build_model(model, hier).try_run(case)
-    }
-
-    /// Variant of [`Suite::execute_case`] that reports every retired
-    /// dynamic instruction to `hook` — campaign runners attach a
-    /// [`ff_engine::RetireRing`] here so a failing job can leave a crash
-    /// bundle with the retirements leading up to the failure.
-    ///
-    /// # Errors
-    ///
-    /// See [`Suite::execute_case`].
-    pub fn execute_case_hooked(
-        model: ModelKind,
-        hier: HierKind,
-        case: &SimCase<'_>,
-        hook: &mut dyn RetireHook,
-    ) -> Result<RunResult, RunError> {
-        Self::build_model(model, hier).try_run_hooked(case, hook)
+        Self::build_model(model, hier).try_run_hooked(case, &mut ())
     }
 
     /// Builds the exact model instance [`Suite::execute_case`] runs: the

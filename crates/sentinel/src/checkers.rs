@@ -8,7 +8,7 @@
 
 use ff_debug::LockstepChecker;
 use ff_engine::{
-    AscForwardObs, CycleObs, MemAccessObs, RetireEvent, RetireHook, RetireMode, RunResult, SimCase,
+    AscForwardObs, CycleObs, MemAccessObs, Observer, RetireEvent, RetireMode, RunResult, SimCase,
 };
 
 use crate::{Reporter, Sentinel};
@@ -211,7 +211,7 @@ impl Sentinel for MshrSentinel {
         "mshr"
     }
 
-    fn on_run_end(&mut self, result: &RunResult, v: &mut Reporter<'_>) {
+    fn finish(&mut self, result: &RunResult, v: &mut Reporter<'_>) {
         let m = &result.mem_stats;
         let cycle = result.stats.cycles;
         if m.mshr_releases > m.mshr_allocations {
@@ -345,7 +345,7 @@ impl Sentinel for AccountingSentinel {
         "accounting"
     }
 
-    fn on_run_end(&mut self, result: &RunResult, v: &mut Reporter<'_>) {
+    fn finish(&mut self, result: &RunResult, v: &mut Reporter<'_>) {
         let s = &result.stats;
         let cycle = s.cycles;
         if s.breakdown.total() != s.cycles {

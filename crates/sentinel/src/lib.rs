@@ -4,10 +4,12 @@
 //! pass-epoch rollback, MSHR lifetimes — that can silently corrupt results
 //! rather than crash. This crate makes corruption *loud*:
 //!
-//! * a pluggable [`Sentinel`] framework: checkers observe a run through
-//!   the engine's [`PipelineProbe`] wiring (hooks at fetch, issue,
+//! * a pluggable [`Sentinel`] framework: a [`SentinelSuite`] is a
+//!   pipeline-level engine [`Observer`] (events at fetch, issue,
 //!   writeback, retire, per-cycle snapshots, memory completions, and ASC
-//!   forwards) and report [`Violation`]s without perturbing timing;
+//!   forwards) whose checkers report [`Violation`]s without perturbing
+//!   timing, plus end-of-run checks the caller triggers with
+//!   [`SentinelSuite::finish`];
 //! * six concrete checkers ([`checkers`]): in-order retirement, scoreboard
 //!   / SRF consistency, ASC capacity and S-bit soundness, MSHR
 //!   leak/double-free, pass-epoch monotonicity, and counter/activity
@@ -37,8 +39,8 @@
 use std::fmt;
 
 use ff_engine::{
-    AscForwardObs, CycleObs, ExecutionModel, MemAccessObs, NullRetireHook, PipelineProbe,
-    RetireEvent, RetireHook, RunError, RunResult, SimCase,
+    AscForwardObs, CycleObs, ExecutionModel, MemAccessObs, ObserveLevel, Observer, RetireEvent,
+    RunError, RunResult, SimCase,
 };
 use ff_isa::Reg;
 
@@ -86,9 +88,9 @@ impl Reporter<'_> {
     }
 }
 
-/// An invariant checker. Every hook mirrors one [`PipelineProbe`]
-/// observation and defaults to a no-op, so a sentinel implements only the
-/// hooks its invariant needs.
+/// An invariant checker. Every hook mirrors one [`Observer`] event (plus
+/// [`Sentinel::finish`] for the end of the run) and defaults to a no-op,
+/// so a sentinel implements only the hooks its invariant needs.
 pub trait Sentinel {
     /// Short stable name ("retire-order", "mshr", ...), used in reports
     /// and by fault-detection tests.
@@ -130,7 +132,7 @@ pub trait Sentinel {
     }
 
     /// The run completed.
-    fn on_run_end(&mut self, result: &RunResult, v: &mut Reporter<'_>) {
+    fn finish(&mut self, result: &RunResult, v: &mut Reporter<'_>) {
         let _ = (result, v);
     }
 }
@@ -139,10 +141,11 @@ pub trait Sentinel {
 /// firing is the interesting one — everything after is usually fallout).
 pub const MAX_VIOLATIONS: usize = 64;
 
-/// A set of sentinels driven by one probed run.
+/// A set of sentinels driven by one observed run.
 ///
-/// Implements [`PipelineProbe`], so it plugs directly into
-/// [`ExecutionModel::try_run_probed`].
+/// A pipeline-level [`Observer`], so it plugs directly into
+/// [`ExecutionModel::try_run_hooked`]; hand the run's result to
+/// [`SentinelSuite::finish`] for the end-of-run checks.
 pub struct SentinelSuite<'a> {
     sentinels: Vec<Box<dyn Sentinel + 'a>>,
     violations: Vec<Violation>,
@@ -184,6 +187,12 @@ impl<'a> SentinelSuite<'a> {
         &self.violations
     }
 
+    /// Runs every sentinel's end-of-run checks against the completed
+    /// run's `result`.
+    pub fn finish(&mut self, result: &RunResult) {
+        self.each(|s, r| s.finish(result, r));
+    }
+
     /// Consumes the suite, returning its violations.
     pub fn into_violations(self) -> Vec<Violation> {
         self.violations
@@ -204,7 +213,11 @@ impl Default for SentinelSuite<'_> {
     }
 }
 
-impl PipelineProbe for SentinelSuite<'_> {
+impl Observer for SentinelSuite<'_> {
+    fn level(&self) -> ObserveLevel {
+        ObserveLevel::Pipeline
+    }
+
     fn on_fetch(&mut self, seq: u64, cycle: u64) {
         self.each(|s, r| s.on_fetch(seq, cycle, r));
     }
@@ -232,10 +245,6 @@ impl PipelineProbe for SentinelSuite<'_> {
     fn on_asc_forward(&mut self, obs: &AscForwardObs) {
         self.each(|s, r| s.on_asc_forward(obs, r));
     }
-
-    fn on_run_end(&mut self, result: &RunResult) {
-        self.each(|s, r| s.on_run_end(result, r));
-    }
 }
 
 /// Outcome of one sentinel-checked run.
@@ -262,20 +271,23 @@ impl SentinelReport {
 }
 
 /// Runs `case` on `model` with the full checker set (standard six plus
-/// golden lockstep), reporting retirements to `hook` as well.
+/// golden lockstep), publishing events to `observer` as well.
 pub fn check_model_hooked(
     model: &mut dyn ExecutionModel,
     case: &SimCase<'_>,
-    hook: &mut dyn RetireHook,
+    observer: &mut dyn Observer,
 ) -> SentinelReport {
     let mut suite = SentinelSuite::with_golden(case);
-    let outcome = model.try_run_probed(case, hook, &mut suite);
+    let outcome = model.try_run_hooked(case, &mut (observer, &mut suite));
+    if let Ok(result) = &outcome {
+        suite.finish(result);
+    }
     SentinelReport { outcome, violations: suite.into_violations() }
 }
 
 /// Runs `case` on `model` with the full checker set.
 pub fn check_model(model: &mut dyn ExecutionModel, case: &SimCase<'_>) -> SentinelReport {
-    check_model_hooked(model, case, &mut NullRetireHook)
+    check_model_hooked(model, case, &mut ())
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 use ff_baselines::{InOrder, OutOfOrder, Runahead};
 use ff_engine::{
-    CycleObs, ExecutionModel, MachineConfig, PipelineProbe, RetireMode, RunResult, SimCase,
+    CycleObs, ExecutionModel, MachineConfig, ObserveLevel, Observer, RetireMode, RunResult, SimCase,
 };
 use ff_multipass::{Multipass, MultipassConfig};
 use ff_workloads::{Scale, Workload};
@@ -60,7 +60,10 @@ fn forwarding_kernel_exercises_a_speculative_asc_forward() {
     // The stale-asc fault site must exist in the clean run: at least one
     // ASC forward with the S-bit set.
     struct CountForwards(u64);
-    impl PipelineProbe for CountForwards {
+    impl Observer for CountForwards {
+        fn level(&self) -> ObserveLevel {
+            ObserveLevel::Pipeline
+        }
         fn on_asc_forward(&mut self, obs: &ff_engine::AscForwardObs) {
             if obs.s_bit {
                 self.0 += 1;
@@ -69,12 +72,10 @@ fn forwarding_kernel_exercises_a_speculative_asc_forward() {
     }
     let (p, mem) = demo::forwarding();
     let case = SimCase::new(&p, mem);
-    let mut probe = CountForwards(0);
+    let mut forwards = CountForwards(0);
     let mut model = Multipass::new(MachineConfig::default());
-    model
-        .try_run_probed(&case, &mut ff_engine::NullRetireHook, &mut probe)
-        .expect("forwarding kernel must complete");
-    assert!(probe.0 > 0, "no S-bit ASC forward — the stale-asc fault site is unreachable");
+    model.try_run_hooked(&case, &mut forwards).expect("forwarding kernel must complete");
+    assert!(forwards.0 > 0, "no S-bit ASC forward — the stale-asc fault site is unreachable");
 }
 
 #[test]
@@ -224,7 +225,7 @@ fn accounting_sentinel_flags_unbalanced_counters() {
     fn audit(result: &RunResult) -> Vec<Violation> {
         let mut suite = SentinelSuite::new();
         suite.add(AccountingSentinel::new());
-        suite.on_run_end(result);
+        suite.finish(result);
         suite.into_violations()
     }
 

@@ -49,7 +49,7 @@ fn every_model_abandons_a_runaway_program_at_its_cycle_budget() {
     for (name, mut model) in models(MachineConfig::itanium2_base()) {
         for tick in [TickMode::Polling, TickMode::EventDriven] {
             model.set_tick_mode(tick);
-            match model.try_run(&case) {
+            match model.try_run_hooked(&case, &mut ()) {
                 Err(RunError::CycleBudgetExceeded { limit, retired }) => {
                     assert_eq!(limit, 1_000, "{name} {tick:?}");
                     assert!(retired > 0, "{name} {tick:?}: retired nothing in 1,000 cycles");

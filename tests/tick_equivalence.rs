@@ -3,15 +3,15 @@
 //! workload, a run with [`TickMode::EventDriven`] must be bit-for-bit
 //! identical to the reference [`TickMode::Polling`] run — same statistics,
 //! same activity counters, same memory counters, same final state, same
-//! retirement stream, same probe observation stream, and byte-identical
-//! campaign artifacts.
-
-use std::fmt::Write as _;
+//! retirement stream, same pipeline observation stream, and byte-identical
+//! campaign artifacts. The same grid pins the observation contract:
+//! observing a run, at any level, never changes its result.
 
 use flea_flicker::baselines::{InOrder, OutOfOrder, Runahead};
-use flea_flicker::engine::probe::{AscForwardObs, CycleObs, MemAccessObs, PipelineProbe};
+use flea_flicker::engine::probe::{AscForwardObs, CycleObs, MemAccessObs};
 use flea_flicker::engine::{
-    ExecutionModel, MachineConfig, RetireEvent, RetireHook, RunResult, SimCase, TickMode,
+    ExecutionModel, MachineConfig, ObserveLevel, Observer, RetireEvent, RetireMode, RunResult,
+    SimCase, TickMode,
 };
 use flea_flicker::harness::artifact::render_sim_artifact;
 use flea_flicker::harness::JobSpec;
@@ -37,28 +37,84 @@ fn models(machine: MachineConfig) -> Vec<(&'static str, Box<dyn ExecutionModel>)
     ]
 }
 
-/// Records the entire retirement stream as rendered lines, so two runs can
-/// be compared event-for-event with a readable diff on mismatch.
-#[derive(Default)]
-struct StreamHook {
+/// Records every event it receives as a rendered line, so two runs can be
+/// compared event-for-event with a readable diff on mismatch.
+struct Stream {
+    level: ObserveLevel,
     lines: Vec<String>,
 }
 
-impl RetireHook for StreamHook {
+impl Observer for Stream {
+    fn level(&self) -> ObserveLevel {
+        self.level
+    }
+
+    fn on_fetch(&mut self, seq: u64, cycle: u64) {
+        self.lines.push(format!("fetch seq={seq} cy={cycle}"));
+    }
+
+    fn on_issue(&mut self, seq: u64, cycle: u64) {
+        self.lines.push(format!("issue seq={seq} cy={cycle}"));
+    }
+
+    fn on_writeback(&mut self, seq: u64, reg: Reg, cycle: u64) {
+        self.lines.push(format!("wb seq={seq} reg={reg} cy={cycle}"));
+    }
+
     fn on_retire(&mut self, event: &RetireEvent<'_>) {
-        self.lines.push(event.to_string());
+        self.lines.push(format!("retire {event}"));
+    }
+
+    fn on_cycle(&mut self, obs: &CycleObs) {
+        self.lines.push(format!("cycle {obs:?}"));
+    }
+
+    fn on_mem_access(&mut self, obs: &MemAccessObs) {
+        self.lines.push(format!("mem {obs:?}"));
+    }
+
+    fn on_asc_forward(&mut self, obs: &AscForwardObs) {
+        self.lines.push(format!("asc {obs:?}"));
+    }
+
+    fn on_mode(&mut self, cycle: u64, mode: RetireMode) {
+        self.lines.push(format!("mode {mode} cy={cycle}"));
     }
 }
 
+/// A pipeline-level observer that only counts cycle snapshots.
+struct CycleCount(u64);
+
+impl Observer for CycleCount {
+    fn level(&self) -> ObserveLevel {
+        ObserveLevel::Pipeline
+    }
+
+    fn on_cycle(&mut self, _: &CycleObs) {
+        self.0 += 1;
+    }
+}
+
+/// Runs `case` under `tick` with a [`Stream`] at `level`, returning the
+/// result and the rendered event stream.
 fn run_with(
     model: &mut dyn ExecutionModel,
     case: &SimCase<'_>,
     tick: TickMode,
+    level: ObserveLevel,
 ) -> (RunResult, Vec<String>) {
     model.set_tick_mode(tick);
-    let mut hook = StreamHook::default();
-    let result = model.run_hooked(case, &mut hook);
-    (result, hook.lines)
+    let mut stream = Stream { level, lines: Vec::new() };
+    let result =
+        model.try_run_hooked(case, &mut stream).expect("test workloads halt within budget");
+    (result, stream.lines)
+}
+
+fn assert_same_result(a: &RunResult, b: &RunResult, at: &str) {
+    assert_eq!(a.stats, b.stats, "stats diverge: {at}");
+    assert_eq!(a.activity, b.activity, "activity diverges: {at}");
+    assert_eq!(a.mem_stats, b.mem_stats, "mem stats diverge: {at}");
+    assert!(a.final_state.semantically_eq(&b.final_state), "final state diverges: {at}");
 }
 
 fn first_diff(a: &[String], b: &[String]) -> String {
@@ -73,27 +129,41 @@ fn first_diff(a: &[String], b: &[String]) -> String {
 /// The acceptance grid: every model x every benchmark, event-driven runs
 /// must reproduce the polling runs' results, retirement streams, and
 /// rendered campaign artifacts byte for byte.
+///
+/// The grid also pins the observation contract: an unobserved run, a
+/// retirement-level observer and a pipeline-level observer all get the
+/// identical result, and a retirement-level observer receives nothing but
+/// retirements — the guarantee that keeps the multipass fast-forward on
+/// for campaign jobs, which all attach a retirement ring.
 #[test]
 fn event_driven_matches_polling_on_every_grid_point() {
     let machine = MachineConfig::itanium2_base();
     for w in Workload::all(Scale::Test) {
         let case = SimCase::new(&w.program, w.mem.clone());
         for (name, mut model) in models(machine) {
-            let (polled, polled_stream) = run_with(&mut *model, &case, TickMode::Polling);
-            let (event, event_stream) = run_with(&mut *model, &case, TickMode::EventDriven);
+            let retire = ObserveLevel::Retire;
+            let (polled, polled_stream) = run_with(&mut *model, &case, TickMode::Polling, retire);
+            let (event, event_stream) = run_with(&mut *model, &case, TickMode::EventDriven, retire);
             let at = format!("{name} on {}", w.name);
-            assert_eq!(polled.stats, event.stats, "stats diverge: {at}");
-            assert_eq!(polled.activity, event.activity, "activity diverges: {at}");
-            assert_eq!(polled.mem_stats, event.mem_stats, "mem stats diverge: {at}");
-            assert!(
-                polled.final_state.semantically_eq(&event.final_state),
-                "final state diverges: {at}"
-            );
+            assert_same_result(&polled, &event, &at);
             assert!(
                 polled_stream == event_stream,
                 "retirement streams diverge: {at}\n{}",
                 first_diff(&polled_stream, &event_stream)
             );
+            assert!(
+                event_stream.iter().all(|line| line.starts_with("retire ")),
+                "a retirement-level observer got a pipeline event: {at}"
+            );
+
+            let unobserved = model.run(&case);
+            let mut cycles = CycleCount(0);
+            let deep = model.try_run_hooked(&case, &mut cycles).expect("halts within budget");
+            assert_same_result(&unobserved, &event, &format!("{at}, retirement-level observer"));
+            assert_same_result(&unobserved, &deep, &format!("{at}, pipeline-level observer"));
+            if name.starts_with("multipass") {
+                assert_eq!(cycles.0, deep.stats.cycles, "a cycle went unobserved: {at}");
+            }
         }
     }
 }
@@ -158,52 +228,11 @@ fn in_flight_containers_do_not_allocate_in_steady_state() {
     }
 }
 
-/// Records every observation a sentinel could see, rendered to strings.
-#[derive(Default)]
-struct StreamProbe {
-    lines: Vec<String>,
-}
-
-impl PipelineProbe for StreamProbe {
-    fn on_fetch(&mut self, seq: u64, cycle: u64) {
-        self.lines.push(format!("fetch seq={seq} cy={cycle}"));
-    }
-
-    fn on_issue(&mut self, seq: u64, cycle: u64) {
-        self.lines.push(format!("issue seq={seq} cy={cycle}"));
-    }
-
-    fn on_writeback(&mut self, seq: u64, reg: Reg, cycle: u64) {
-        self.lines.push(format!("wb seq={seq} reg={reg} cy={cycle}"));
-    }
-
-    fn on_retire(&mut self, event: &RetireEvent<'_>) {
-        self.lines.push(format!("retire {event}"));
-    }
-
-    fn on_cycle(&mut self, obs: &CycleObs) {
-        self.lines.push(format!("cycle {obs:?}"));
-    }
-
-    fn on_mem_access(&mut self, obs: &MemAccessObs) {
-        self.lines.push(format!("mem {obs:?}"));
-    }
-
-    fn on_asc_forward(&mut self, obs: &AscForwardObs) {
-        self.lines.push(format!("asc {obs:?}"));
-    }
-
-    fn on_run_end(&mut self, result: &RunResult) {
-        let mut line = String::from("end");
-        let _ = write!(line, " cycles={} retired={}", result.stats.cycles, result.stats.retired);
-        self.lines.push(line);
-    }
-}
-
-/// Regression guard for the quiescence fast-forward: a probed run forces
-/// per-cycle observation, so if the fast-forward ever skipped a cycle with
-/// a pending sentinel-visible event (a CycleObs snapshot, a memory
-/// completion, an ASC forward), the observation streams would diverge.
+/// Regression guard for the quiescence fast-forward: a pipeline-level
+/// observer forces per-cycle observation, so if the fast-forward ever
+/// skipped a cycle with a pending sentinel-visible event (a CycleObs
+/// snapshot, a memory completion, an ASC forward, a mode transition), the
+/// observation streams would diverge.
 #[test]
 fn fast_forward_never_skips_a_probe_visible_event() {
     let machine = MachineConfig::itanium2_base();
@@ -212,19 +241,18 @@ fn fast_forward_never_skips_a_probe_visible_event() {
         let case = SimCase::new(&w.program, w.mem.clone());
         let observe = |tick| {
             let mut model = Multipass::new(machine);
-            model.set_tick_mode(tick);
-            let mut hook = StreamHook::default();
-            let mut probe = StreamProbe::default();
-            model
-                .try_run_probed(&case, &mut hook, &mut probe)
-                .expect("test workloads halt within budget");
-            probe.lines
+            let (result, mut lines) = run_with(&mut model, &case, tick, ObserveLevel::Pipeline);
+            lines.push(format!(
+                "end cycles={} retired={}",
+                result.stats.cycles, result.stats.retired
+            ));
+            lines
         };
         let polled = observe(TickMode::Polling);
         let event = observe(TickMode::EventDriven);
         assert!(
             polled == event,
-            "probe streams diverge on {bench}\n{}",
+            "observation streams diverge on {bench}\n{}",
             first_diff(&polled, &event)
         );
     }
@@ -242,9 +270,9 @@ fn cycle_budget_abandonment_is_tick_mode_independent() {
         let case = SimCase::new(&w.program, w.mem.clone()).with_cycle_budget(budget);
         for (name, mut model) in models(machine) {
             model.set_tick_mode(TickMode::Polling);
-            let polled = model.try_run(&case);
+            let polled = model.try_run_hooked(&case, &mut ());
             model.set_tick_mode(TickMode::EventDriven);
-            let event = model.try_run(&case);
+            let event = model.try_run_hooked(&case, &mut ());
             match (polled, event) {
                 (Ok(p), Ok(e)) => assert_eq!(p.stats, e.stats, "{name} @{budget}"),
                 (Err(p), Err(e)) => assert_eq!(p, e, "{name} @{budget}"),
