@@ -7,8 +7,9 @@
 //! `BENCH_<git-describe>.json` at the repository root so the trajectory of
 //! simulator performance is tracked in version control, and the CI
 //! `perf-gate` job compares a fresh measurement against the committed
-//! `BENCH_main.json`, failing on a >10% cycles/sec regression for any
-//! model.
+//! `BENCH_main.json`. It fails when a deterministic work counter moves the
+//! wrong way ([`compare_counters`]) or when any model's cycles/sec
+//! geomean regresses by more than 10% ([`compare`]).
 //!
 //! Measurement protocol (steady state, not cold start):
 //!
@@ -30,9 +31,11 @@
 //! `select_visits` (issue-select examinations) and `alloc_count`
 //! (in-flight container growth events) — alongside `retired`, so the
 //! per-instruction cost of issue selection and the zero-steady-state-
-//! allocation invariant are tracked in the same trajectory. The document
-//! carries a host fingerprint (CPU model + core count); [`cli_main`]'s
-//! `check` warns when it compares measurements from different hosts.
+//! allocation invariant are tracked in the same trajectory. Unlike the
+//! rates, the counters are exact per grid point on any host, so `check`
+//! gates on them entry by entry. The document carries a host fingerprint
+//! (CPU model + core count); [`cli_main`]'s `check` warns when it compares
+//! rates measured on different hosts.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -413,6 +416,48 @@ pub fn compare(baseline: &[Rate], current: &[Rate], tolerance: f64) -> Result<()
     }
 }
 
+/// Gates the deterministic work counters entry by entry (model × kernel ×
+/// tick). They do not depend on the host, so every change is real:
+///
+/// * `retired` must equal the baseline (otherwise the simulated program
+///   or its semantics changed);
+/// * `select_visits` and `alloc_count` must not rise;
+/// * when either falls, the change is an improvement the baseline should
+///   record: that is a re-baseline note, not a failure.
+///
+/// A baseline entry missing from `current` fails. Returns the failures
+/// and the re-baseline notes.
+pub fn compare_counters(baseline: &[Rate], current: &[Rate]) -> (Vec<String>, Vec<String>) {
+    let mut failures = Vec::new();
+    let mut notes = Vec::new();
+    for b in baseline {
+        let at = format!("{} {} {}", b.model, b.kernel, b.tick);
+        let Some(c) =
+            current.iter().find(|c| c.model == b.model && c.kernel == b.kernel && c.tick == b.tick)
+        else {
+            failures.push(format!("{at}: entry missing from current measurement"));
+            continue;
+        };
+        if c.retired != b.retired {
+            failures.push(format!("{at}: retired {} vs baseline {}", c.retired, b.retired));
+        }
+        for (name, cur, base) in [
+            ("select_visits", c.select_visits, b.select_visits),
+            ("alloc_count", c.alloc_count, b.alloc_count),
+        ] {
+            if cur > base {
+                failures.push(format!("{at}: {name} rose to {cur} from baseline {base}"));
+            } else if cur < base {
+                notes.push(format!(
+                    "{at}: {name} fell to {cur} from baseline {base}; re-baseline \
+                     BENCH_main.json to record the improvement"
+                ));
+            }
+        }
+    }
+    (failures, notes)
+}
+
 /// The repository root (two levels above this crate's manifest).
 pub fn repo_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -504,9 +549,10 @@ fn measure_and_write(out: Option<&str>) -> Result<Vec<Rate>, String> {
 ///   (the default when no subcommand is given, so plain `cargo bench`
 ///   still records a trajectory point).
 /// * `check --baseline FILE [--current FILE] [--tolerance FRAC]` —
-///   measure (or load `--current`) and fail with exit code 1 when any
-///   model's event-driven cycles/sec geomean regressed by more than the
-///   tolerance vs the baseline file.
+///   measure (or load `--current`) and fail with exit code 1 when a work
+///   counter moved the wrong way ([`compare_counters`]) or any model's
+///   event-driven cycles/sec geomean regressed by more than the tolerance
+///   vs the baseline file.
 /// * `single MODEL KERNEL TICK` — one grid point, printed only (used to
 ///   validate the warm-up guard).
 pub fn cli_main(argv: &[String]) -> i32 {
@@ -585,21 +631,25 @@ pub fn cli_main(argv: &[String]) -> i32 {
                     }
                 },
             };
-            match compare(&baseline, &current, tolerance) {
-                Ok(()) => {
-                    println!(
-                        "perf-gate: OK (no model regressed by more than {:.0}%)",
-                        tolerance * 100.0
-                    );
-                    0
+            let (mut failures, notes) = compare_counters(&baseline, &current);
+            for note in notes {
+                println!("perf-gate: note: {note}");
+            }
+            if let Err(regressions) = compare(&baseline, &current, tolerance) {
+                failures.extend(regressions);
+            }
+            if failures.is_empty() {
+                println!(
+                    "perf-gate: OK (no work counter rose; no model regressed by more than {:.0}%)",
+                    tolerance * 100.0
+                );
+                0
+            } else {
+                eprintln!("perf-gate: FAIL");
+                for f in failures {
+                    eprintln!("  {f}");
                 }
-                Err(regressions) => {
-                    eprintln!("perf-gate: FAIL");
-                    for r in regressions {
-                        eprintln!("  {r}");
-                    }
-                    1
-                }
+                1
             }
         }
         "single" => {
@@ -693,6 +743,63 @@ mod tests {
     fn compare_allows_improvements() {
         let baseline = vec![rate("multipass", "art", "event", 1.0e6)];
         assert!(compare(&baseline, &[rate("multipass", "art", "event", 5.0e6)], 0.10).is_ok());
+    }
+
+    fn counters(retired: u64, select_visits: u64, alloc_count: u64) -> Rate {
+        Rate { retired, select_visits, alloc_count, ..rate("ooo", "art", "event", 1.0e6) }
+    }
+
+    #[test]
+    fn counter_gate_passes_identical_counters() {
+        let baseline = vec![counters(10_000, 12_345, 4)];
+        let (failures, notes) = compare_counters(&baseline, &baseline);
+        assert!(failures.is_empty(), "{failures:?}");
+        assert!(notes.is_empty(), "{notes:?}");
+    }
+
+    #[test]
+    fn counter_gate_fails_on_changed_retirements() {
+        let baseline = vec![counters(10_000, 12_345, 4)];
+        for retired in [9_999, 10_001] {
+            let (failures, _) = compare_counters(&baseline, &[counters(retired, 12_345, 4)]);
+            assert_eq!(failures.len(), 1, "{failures:?}");
+            assert!(failures[0].contains("retired"), "{}", failures[0]);
+        }
+    }
+
+    #[test]
+    fn counter_gate_fails_on_rising_select_visits() {
+        let baseline = vec![counters(10_000, 12_345, 4)];
+        let (failures, notes) = compare_counters(&baseline, &[counters(10_000, 12_346, 4)]);
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].contains("select_visits"), "{}", failures[0]);
+        assert!(notes.is_empty(), "{notes:?}");
+    }
+
+    #[test]
+    fn counter_gate_fails_on_rising_alloc_count() {
+        let baseline = vec![counters(10_000, 12_345, 4)];
+        let (failures, notes) = compare_counters(&baseline, &[counters(10_000, 12_345, 5)]);
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].contains("alloc_count"), "{}", failures[0]);
+        assert!(notes.is_empty(), "{notes:?}");
+    }
+
+    #[test]
+    fn counter_gate_notes_falling_counters_without_failing() {
+        let baseline = vec![counters(10_000, 12_345, 4)];
+        let (failures, notes) = compare_counters(&baseline, &[counters(10_000, 12_000, 3)]);
+        assert!(failures.is_empty(), "{failures:?}");
+        assert_eq!(notes.len(), 2, "{notes:?}");
+        assert!(notes.iter().all(|n| n.contains("re-baseline")), "{notes:?}");
+    }
+
+    #[test]
+    fn counter_gate_fails_on_a_missing_entry() {
+        let baseline = vec![counters(10_000, 12_345, 4)];
+        let (failures, _) = compare_counters(&baseline, &[]);
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].contains("missing"), "{}", failures[0]);
     }
 
     #[test]

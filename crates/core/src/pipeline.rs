@@ -3,7 +3,11 @@
 //! One physical in-order pipeline operating in three modes:
 //!
 //! * **Architectural** — indistinguishable from the baseline in-order
-//!   pipeline; multipass structures are clock-gated.
+//!   pipeline; multipass structures are clock-gated. Ordinary
+//!   architectural issue (here and in rally mode) *is* the baseline's:
+//!   [`ff_engine::InOrderStage::execute`], with scoreboard wakeups routed
+//!   through the wakeup fault hooks, and the architectural/rally
+//!   fast-forward uses the stage's head-of-queue window.
 //! * **Advance** — triggered when the oldest instruction stalls on an
 //!   unready load result. The PEEK pointer walks forward from the trigger,
 //!   executing whatever has valid operands into the SRF and the result
@@ -17,17 +21,20 @@
 //!   (preexecuted instructions carry no dependences), verifying
 //!   data-speculative loads value-wise, and dropping back to architectural
 //!   mode once DEQ catches the high-water PEEK mark.
+//!
+//! The run state (`Core`) holds the shared [`InOrderStage`] plus only what multipass
+//! adds: E-bit merging, S-bit verification, regrouping, advance mode and
+//! the mode transitions. Its loop control differs from the baseline's:
+//! an issue cycle ends after any branch, and issue counts `iq_reads`.
 
 use ff_engine::{
-    operand_stall, operand_wake, Activity, AscForwardObs, CycleObs, EpisodeWindow, ExecutionModel,
-    FuPool, InFlightIndex, MachineConfig, MemAccessObs, ObserveLevel, Observer, PendingKind,
-    RetireEvent, RetireMode, RunError, RunResult, RunStats, Scoreboard, SimCase, StallKind,
-    TickMode,
+    operand_stall, operand_wake, AscForwardObs, CycleObs, EpisodeWindow, ExecutionModel, Head,
+    InFlightIndex, InOrderStage, MachineConfig, ObserveLevel, Observer, PendingKind, RetireEvent,
+    RetireMode, RunError, RunResult, Scoreboard, SimCase, StallKind, TickMode, WakeHooks,
 };
-use ff_frontend::{FetchUnit, Gshare};
 use ff_isa::eval::{alu, effective_address};
-use ff_isa::{ArchState, Op, Program, Reg};
-use ff_mem::{AccessKind, MemAccess, MemorySystem};
+use ff_isa::{Op, Reg};
+use ff_mem::{AccessKind, MemAccess};
 use std::borrow::Cow;
 
 use crate::asc::{AdvanceStoreCache, AscData, AscLookup};
@@ -74,17 +81,15 @@ impl Multipass {
     }
 }
 
-/// Whole-run mutable state, split out so the mode handlers can be methods.
+/// Whole-run mutable state, split out so the mode handlers can be methods:
+/// the shared in-order stage plus everything multipass adds to it.
 struct Core<'a> {
     cfg: MultipassConfig,
-    program: &'a Program,
-    state: ArchState,
-    mem: MemorySystem,
-    fetch: FetchUnit,
-    sb: Scoreboard,
-    fu: FuPool,
-    stats: RunStats,
-    activity: Activity,
+    /// The in-order pipeline whose architectural mode this core is.
+    stage: InOrderStage<'a>,
+    /// Architectural wakeups, routed through the dropped-wakeup and
+    /// dropped-ready-insert faults.
+    wakes: WakeFaults,
     srf: Srf,
     asc: AdvanceStoreCache,
     /// Multipass per-instruction state, keyed by sequence number. The
@@ -120,53 +125,83 @@ struct Core<'a> {
     /// a restart (footnote 2 of the paper: the restart is timed so the
     /// restarted instruction meets its input at the REG stage).
     advance_wait_until: u64,
-    /// The run's observer. Its level is read once into the two flags
-    /// below, so an unobserved run never constructs an event.
-    observer: &'a mut dyn Observer,
-    /// The observer wants retirements.
-    retire_events: bool,
-    /// The observer wants every pipeline event; this also makes the
-    /// fast-forward walk quiescent windows cycle by cycle.
-    pipeline_events: bool,
-    /// Architectural load wakeups scheduled so far (fault-injection index).
-    load_pends: u64,
-    exec_pends: u64,
     /// ASC forwards with the S bit set so far (fault-injection index).
     speculative_forwards: u64,
-    /// Per-cycle tick strategy. Event-driven runs must be bit-for-bit
-    /// identical to polling; the fast-forward only ever skips cycles it
-    /// can prove the polled loop would spend idle.
-    tick: TickMode,
-    now: u64,
-    halted: bool,
+}
+
+/// Architectural scoreboard wakeups with the two wakeup faults: the
+/// faulted wakeup lands in the unreachable future, so consumers of its
+/// register never transition back to ready.
+struct WakeFaults {
+    /// Index of the architectural load wakeup to drop.
+    drop_load: Option<u64>,
+    /// Index of the execution-op writeback wakeup to drop.
+    drop_exec: Option<u64>,
+    /// Architectural load wakeups scheduled so far.
+    load_pends: u64,
+    /// Execution-op writeback wakeups scheduled so far.
+    exec_pends: u64,
+}
+
+impl WakeFaults {
+    /// `at`, or the unreachable future when this is the `drop`th wakeup.
+    fn route(drop: Option<u64>, count: &mut u64, at: u64) -> u64 {
+        let Some(n) = drop else { return at };
+        let faulted = *count == n;
+        *count += 1;
+        if faulted {
+            u64::MAX / 2
+        } else {
+            at
+        }
+    }
+}
+
+impl WakeHooks for WakeFaults {
+    /// The dropped-wakeup fault.
+    fn pend_load(&mut self, sb: &mut Scoreboard, reg: Reg, complete_at: u64) {
+        let at = WakeFaults::route(self.drop_load, &mut self.load_pends, complete_at);
+        sb.set_pending(reg, at, PendingKind::Load);
+    }
+
+    /// The dropped-ready-insert fault.
+    fn pend_exec(&mut self, sb: &mut Scoreboard, reg: Reg, ready_at: u64) {
+        let at = WakeFaults::route(self.drop_exec, &mut self.exec_pends, ready_at);
+        sb.set_pending(reg, at, PendingKind::Exec);
+    }
 }
 
 impl<'a> Core<'a> {
-    fn new(config: MultipassConfig, case: &SimCase<'a>, observer: &'a mut dyn Observer) -> Self {
-        let level = observer.level();
+    fn new(
+        config: MultipassConfig,
+        case: &SimCase<'a>,
+        tick: TickMode,
+        observer: &'a mut dyn Observer,
+    ) -> Self {
         let machine = config.machine;
-        let mut mem = MemorySystem::new(machine.hierarchy);
+        let mut stage = InOrderStage::new(
+            case,
+            &machine,
+            machine.multipass_iq,
+            tick,
+            observer,
+            ObserveLevel::Pipeline,
+        );
         if let Some(n) = config.fault_warp_cache_latency {
-            mem.inject_warp_latency(n);
+            stage.mem.inject_warp_latency(n);
         }
         if let Some(n) = config.fault_lose_mshr_dealloc {
-            mem.inject_lost_mshr_dealloc(n);
+            stage.mem.inject_lost_mshr_dealloc(n);
         }
         Core {
             cfg: config,
-            program: case.program,
-            state: case.initial_state(),
-            mem,
-            fetch: FetchUnit::new(
-                case.program,
-                machine.multipass_iq,
-                machine.fetch_width as usize,
-                Gshare::new(machine.gshare_entries),
-            ),
-            sb: Scoreboard::new(),
-            fu: FuPool::new(&machine),
-            stats: RunStats::default(),
-            activity: Activity::new(),
+            stage,
+            wakes: WakeFaults {
+                drop_load: config.fault_drop_wakeup,
+                drop_exec: config.fault_drop_ready_insert,
+                load_pends: 0,
+                exec_pends: 0,
+            },
             srf: Srf::new(),
             asc: AdvanceStoreCache::new(config.asc_entries, config.asc_assoc),
             // In-flight seqs span at most the fetch buffer (entries are
@@ -184,84 +219,40 @@ impl<'a> Core<'a> {
             slot_executed: false,
             consec_deferrals: 0,
             advance_wait_until: 0,
-            observer,
-            retire_events: level >= ObserveLevel::Retire,
-            pipeline_events: level >= ObserveLevel::Pipeline,
-            load_pends: 0,
-            exec_pends: 0,
             speculative_forwards: 0,
-            tick: TickMode::default(),
-            now: 0,
-            halted: false,
         }
     }
 
     fn set_mode(&mut self, mode: RetireMode) {
         self.mode = mode;
-        if self.pipeline_events {
-            self.observer.on_mode(self.now, mode);
+        if self.stage.pipeline_events {
+            self.stage.observer.on_mode(self.stage.now, mode);
         }
     }
 
     // ---------------------------------------------------------------- util
 
-    /// Schedules an architectural load wakeup, routing through the
-    /// dropped-wakeup fault: the faulted wakeup lands in the unreachable
-    /// future, wedging every consumer of `d`.
-    fn pend_load(&mut self, d: Reg, complete_at: u64) {
-        let mut at = complete_at;
-        if let Some(n) = self.cfg.fault_drop_wakeup {
-            if self.load_pends == n {
-                at = u64::MAX / 2;
-            }
-            self.load_pends += 1;
-        }
-        self.sb.set_pending(d, at, PendingKind::Load);
-    }
-
-    /// Schedules an execution-op writeback wakeup, routing through the
-    /// dropped-ready-insert fault: the faulted insertion lands in the
-    /// unreachable future, so consumers of `d` never transition back to
-    /// ready.
-    fn pend_exec(&mut self, d: Reg, ready_at: u64) {
-        let mut at = ready_at;
-        if let Some(n) = self.cfg.fault_drop_ready_insert {
-            if self.exec_pends == n {
-                at = u64::MAX / 2;
-            }
-            self.exec_pends += 1;
-        }
-        self.sb.set_pending(d, at, PendingKind::Exec);
-    }
-
-    /// Publishes a completed data access to the observer.
-    fn observe_mem_access(&mut self, complete_at: u64, level: ff_mem::HitLevel) {
-        if self.pipeline_events {
-            self.observer.on_mem_access(&MemAccessObs { cycle: self.now, complete_at, level });
-        }
-    }
-
     /// Publishes the top-of-cycle pipeline snapshot to the observer.
     fn observe_cycle(&mut self) {
-        if !self.pipeline_events {
+        if !self.stage.pipeline_events {
             return;
         }
         let obs = CycleObs {
-            cycle: self.now,
+            cycle: self.stage.now,
             mode: self.mode,
             trigger: self.trigger,
             peek: self.peek,
             peek_high: self.peek_high,
-            deq: self.fetch.head_seq(),
+            deq: self.stage.fetch.head_seq(),
             srf_abits: self.srf.abit_count(),
             asc_live: self.asc.live_entries(),
             asc_capacity: self.asc.capacity(),
             asc_assoc_ok: self.asc.assoc_ok(),
             smaq_live: self.smaq_count,
             smaq_capacity: self.cfg.smaq_entries,
-            sb_drain: self.sb.drain_cycle(),
+            sb_drain: self.stage.sb.drain_cycle(),
         };
-        self.observer.on_cycle(&obs);
+        self.stage.observer.on_cycle(&obs);
     }
 
     fn entry(&self, seq: u64) -> MpEntry {
@@ -272,7 +263,7 @@ impl<'a> Core<'a> {
         let e = self.entries.get_or_default(seq);
         if e.smaq_addr.is_none() {
             self.smaq_count += 1;
-            self.activity.smaq_accesses += 1;
+            self.stage.activity.smaq_accesses += 1;
         }
         e.smaq_addr = Some(addr);
     }
@@ -313,21 +304,21 @@ impl<'a> Core<'a> {
     /// execution latencies.
     fn adv_read(&mut self, r: Reg) -> AdvRead {
         if r.is_hardwired() {
-            return AdvRead::Value(self.state.read(r), false);
+            return AdvRead::Value(self.stage.state.read(r), false);
         }
         match self.srf.read(r) {
             Some(SrfVal::Valid { value, ready_at, tainted }) => {
-                if ready_at <= self.now {
+                if ready_at <= self.stage.now {
                     AdvRead::Value(value, tainted)
                 } else {
                     AdvRead::NotYet
                 }
             }
             Some(SrfVal::Pending { .. }) | Some(SrfVal::Invalid) => AdvRead::Deferred,
-            None => match self.sb.pending_kind(r, self.now) {
+            None => match self.stage.sb.pending_kind(r, self.stage.now) {
                 PendingKind::None => {
-                    self.activity.regfile_reads += 1;
-                    AdvRead::Value(self.state.read(r), false)
+                    self.stage.activity.regfile_reads += 1;
+                    AdvRead::Value(self.stage.state.read(r), false)
                 }
                 PendingKind::Load => AdvRead::Deferred,
                 PendingKind::Exec => AdvRead::NotYet,
@@ -338,18 +329,18 @@ impl<'a> Core<'a> {
     /// Whether the head (trigger) instruction could issue in rally mode at
     /// the current cycle — the advance→rally transition condition.
     fn head_issueable(&self) -> bool {
-        let Some(fe) = self.fetch.get(self.fetch.head_seq()) else {
+        let Some(fe) = self.stage.fetch.get(self.stage.fetch.head_seq()) else {
             return false;
         };
-        if fe.fetched_at > self.now {
+        if fe.fetched_at > self.stage.now {
             return false;
         }
         let ent = self.entry(fe.seq);
         if ent.e_bit {
-            ent.rs_available(self.now)
+            ent.rs_available(self.stage.now)
         } else {
-            let inst = self.program.inst(fe.pc).expect("fetched pc is valid");
-            operand_stall(inst, &self.sb, self.now).is_none()
+            let inst = self.stage.program.inst(fe.pc).expect("fetched pc is valid");
+            operand_stall(inst, &self.stage.sb, self.stage.now).is_none()
         }
     }
 
@@ -364,7 +355,7 @@ impl<'a> Core<'a> {
         self.pass_progress = false;
         self.consec_deferrals = 0;
         self.advance_wait_until = 0;
-        self.stats.spec_mode_entries += 1;
+        self.stage.stats.spec_mode_entries += 1;
     }
 
     fn restart_pass(&mut self) {
@@ -374,7 +365,7 @@ impl<'a> Core<'a> {
         self.peek = self.trigger;
         self.pass_progress = false;
         self.consec_deferrals = 0;
-        self.stats.advance_restarts += 1;
+        self.stage.stats.advance_restarts += 1;
     }
 
     fn enter_rally(&mut self) {
@@ -390,41 +381,35 @@ impl<'a> Core<'a> {
     fn issue_architectural(&mut self) -> (u32, Option<StallKind>) {
         let regroup = self.cfg.enable_regrouping && self.mode != RetireMode::Architectural;
         let width = self.cfg.machine.issue_width;
-        let program = self.program;
+        let program = self.stage.program;
         let mut issued = 0u32;
         let mut stall: Option<StallKind> = None;
         let mut prev_ended_group = false;
 
         while issued < width {
-            let seq = self.fetch.head_seq();
-            let Some(fe) = self.fetch.get(seq) else { break };
-            if fe.fetched_at > self.now {
-                break;
-            }
-            let pc = fe.pc;
-            let predicted_next = fe.predicted_next;
-            let snap = fe.history_snapshot;
+            let Some(head) = self.stage.head() else { break };
+            let (seq, pc) = (head.seq, head.pc);
             // The fetch buffer holds a verbatim copy of the static
             // instruction, so borrow the program's original rather than
             // cloning it into every issue slot.
             let inst = program.inst(pc).expect("fetched pc is valid");
             let ends_group = inst.ends_group();
             let ent = self.entry(seq);
-            self.activity.select_visits += 1;
+            self.stage.activity.select_visits += 1;
 
             // Crossing a compiler stop bit requires regrouping.
             if issued > 0 && prev_ended_group {
                 if !regroup {
                     break;
                 }
-                self.stats.regroup_merges += 1;
+                self.stage.stats.regroup_merges += 1;
             }
 
             let mut flushed = false;
-            if ent.rs_available(self.now) {
+            if ent.rs_available(self.stage.now) {
                 // ---- merge a preserved result (E-bit) ----
-                self.activity.rs_reads += 1;
-                self.activity.iq_reads += 1;
+                self.stage.activity.rs_reads += 1;
+                self.stage.activity.iq_reads += 1;
                 let mut wrote = None;
                 let mut stored = None;
                 match ent.result.expect("E-bit entry has a result") {
@@ -432,78 +417,81 @@ impl<'a> Core<'a> {
                         if ent.s_bit {
                             // Data-speculative load: reperform the access
                             // using the SMAQ address and verify the value.
-                            if !self.fu.try_issue(inst, self.now) {
+                            if !self.stage.fu.try_issue(inst, self.stage.now) {
                                 stall = Some(StallKind::Other);
                                 break;
                             }
                             let addr = ent.smaq_addr.expect("S-bit load has a SMAQ address");
-                            self.activity.smaq_accesses += 1;
-                            let cur = self.state.mem.load(addr);
-                            let complete_at =
-                                match self.mem.access(addr, AccessKind::DataRead, self.now) {
-                                    MemAccess::Done { complete_at, level } => {
-                                        self.observe_mem_access(complete_at, level);
-                                        complete_at
-                                    }
-                                    MemAccess::Retry => {
-                                        stall = Some(StallKind::Other);
-                                        break;
-                                    }
-                                };
+                            self.stage.activity.smaq_accesses += 1;
+                            let cur = self.stage.state.mem.load(addr);
+                            let complete_at = match self.stage.mem.access(
+                                addr,
+                                AccessKind::DataRead,
+                                self.stage.now,
+                            ) {
+                                MemAccess::Done { complete_at, level } => {
+                                    self.stage.observe_mem_access(complete_at, level);
+                                    complete_at
+                                }
+                                MemAccess::Retry => {
+                                    stall = Some(StallKind::Other);
+                                    break;
+                                }
+                            };
                             if cur != v {
                                 // Value misspeculation: pipeline flush.
-                                self.stats.value_flushes += 1;
+                                self.stage.stats.value_flushes += 1;
                                 self.squash_entries_from(seq);
                                 self.srf.clear();
                                 self.asc.clear();
                                 self.peek_high = self.peek_high.min(seq);
-                                self.stall_until = self.now + self.cfg.flush_penalty;
+                                self.stall_until = self.stage.now + self.cfg.flush_penalty;
                                 stall = Some(StallKind::Other);
                                 break;
                             }
                             if let Some(d) = inst.writes() {
-                                self.state.write(d, cur);
-                                self.pend_load(d, complete_at);
-                                self.activity.regfile_writes += 1;
+                                self.stage.state.write(d, cur);
+                                self.wakes.pend_load(&mut self.stage.sb, d, complete_at);
+                                self.stage.activity.regfile_writes += 1;
                                 wrote = Some((d, cur));
                             }
                         } else if let Some(d) = inst.writes() {
                             let mut v = v;
-                            if self.cfg.fault_corrupt_rs_merge == Some(self.stats.rs_reuses) {
+                            if self.cfg.fault_corrupt_rs_merge == Some(self.stage.stats.rs_reuses) {
                                 // Deliberate single-bit corruption used to
                                 // exercise the ff-debug triage path.
                                 v ^= 1;
                             }
-                            self.state.write(d, v);
+                            self.stage.state.write(d, v);
                             // Result is immediately bypassable (already
                             // computed): no scoreboard pendency.
-                            self.sb.set_pending(d, self.now, PendingKind::None);
-                            self.activity.regfile_writes += 1;
+                            self.stage.sb.set_pending(d, self.stage.now, PendingKind::None);
+                            self.stage.activity.regfile_writes += 1;
                             wrote = Some((d, v));
                         }
                     }
                     RsResult::Nop => {}
                     RsResult::Store { addr, data } => {
-                        if !self.fu.try_issue(inst, self.now) {
+                        if !self.stage.fu.try_issue(inst, self.stage.now) {
                             stall = Some(StallKind::Other);
                             break;
                         }
-                        self.activity.smaq_accesses += 1;
-                        self.state.mem.store(addr, data);
-                        let _ = self.mem.access(addr, AccessKind::DataWrite, self.now);
+                        self.stage.activity.smaq_accesses += 1;
+                        self.stage.state.mem.store(addr, data);
+                        let _ = self.stage.mem.access(addr, AccessKind::DataWrite, self.stage.now);
                         stored = Some((addr, data));
                     }
                 }
-                if self.pipeline_events {
-                    self.observer.on_issue(seq, self.now);
+                if self.stage.pipeline_events {
+                    self.stage.observer.on_issue(seq, self.stage.now);
                     if let Some((r, _)) = wrote {
-                        self.observer.on_writeback(seq, r, self.now);
+                        self.stage.observer.on_writeback(seq, r, self.stage.now);
                     }
                 }
-                if self.retire_events {
+                if self.stage.retire_events {
                     let event = RetireEvent {
                         seq,
-                        cycle: self.now,
+                        cycle: self.stage.now,
                         pc,
                         inst: Cow::Borrowed(inst),
                         qp_true: None,
@@ -513,12 +501,12 @@ impl<'a> Core<'a> {
                         merged: true,
                         episode: self.episode_window(seq),
                     };
-                    self.observer.on_retire(&event);
+                    self.stage.observer.on_retire(&event);
                 }
-                self.stats.rs_reuses += 1;
-                self.fetch.pop_front();
+                self.stage.stats.rs_reuses += 1;
+                self.stage.fetch.pop_front();
                 self.drop_entry(seq);
-                self.stats.retired += 1;
+                self.stage.stats.retired += 1;
                 issued += 1;
             } else if ent.e_bit {
                 // Preserved result still in flight (outstanding miss).
@@ -526,141 +514,32 @@ impl<'a> Core<'a> {
                 break;
             } else {
                 // ---- ordinary architectural issue (baseline semantics) ----
-                if let Some(kind) = operand_stall(inst, &self.sb, self.now) {
-                    stall = Some(kind);
-                    break;
-                }
-                if !self.fu.try_issue(inst, self.now) {
-                    stall = Some(StallKind::Other);
-                    break;
-                }
-                let qp_true = self.state.read(inst.qp_reg()) != 0;
-                self.activity.regfile_reads += inst.reads().count() as u64;
-                let mut stored = None;
-
-                if qp_true {
-                    match inst.op() {
-                        Op::Halt => self.halted = true,
-                        Op::Br { target } => {
-                            let actual_next = self.program.first_pc_from(*target);
-                            if inst.is_predicated() {
-                                self.stats.branches += 1;
-                                if !ent.branch_trained {
-                                    self.fetch.predictor_mut().update(pc, snap, true);
-                                }
-                            }
-                            let stream_next = ent.resolved_next.unwrap_or(predicted_next);
-                            if stream_next != actual_next {
-                                self.stats.mispredicts += 1;
-                                self.fetch.flush_after(
-                                    seq,
-                                    actual_next,
-                                    self.now + self.cfg.machine.mispredict_penalty,
-                                    snap,
-                                    true,
-                                );
-                                self.after_fetch_flush();
-                                flushed = true;
-                            }
-                        }
-                        Op::Load | Op::LoadFp => {
-                            let base = self.state.read(inst.src_n(0).expect("load base"));
-                            let addr = effective_address(base, inst.imm_val());
-                            match self.mem.access(addr, AccessKind::DataRead, self.now) {
-                                MemAccess::Done { complete_at, level } => {
-                                    self.observe_mem_access(complete_at, level);
-                                    let v = self.state.mem.load(addr);
-                                    if let Some(d) = inst.writes() {
-                                        self.state.write(d, v);
-                                        self.pend_load(d, complete_at);
-                                        self.activity.regfile_writes += 1;
-                                    }
-                                    self.stats.executions += 1;
-                                }
-                                MemAccess::Retry => {
-                                    stall = Some(StallKind::Other);
-                                    break;
-                                }
-                            }
-                        }
-                        Op::Store => {
-                            let base = self.state.read(inst.src_n(0).expect("store base"));
-                            let data = self.state.read(inst.src_n(1).expect("store data"));
-                            let addr = effective_address(base, inst.imm_val());
-                            self.state.mem.store(addr, data);
-                            let _ = self.mem.access(addr, AccessKind::DataWrite, self.now);
-                            stored = Some((addr, data));
-                            self.stats.executions += 1;
-                        }
-                        Op::Nop | Op::Restart => {}
-                        op => {
-                            let a = inst.src_n(0).map(|r| self.state.read(r)).unwrap_or(0);
-                            let b = inst.src_n(1).map(|r| self.state.read(r)).unwrap_or(0);
-                            let v = alu(op, a, b, inst.imm_val());
-                            if let Some(d) = inst.writes() {
-                                self.state.write(d, v);
-                                self.pend_exec(d, self.now + op.latency() as u64);
-                                self.activity.regfile_writes += 1;
-                            }
-                            self.stats.executions += 1;
-                        }
+                // An advance pass may already have trained the predictor
+                // for this branch or redirected fetch past it.
+                let head = Head {
+                    stream_next: ent.resolved_next.unwrap_or(head.stream_next),
+                    trained: ent.branch_trained,
+                    ..head
+                };
+                let done = match self.stage.execute(&head, inst, &mut self.wakes) {
+                    Ok(done) => done,
+                    Err(kind) => {
+                        stall = Some(kind);
+                        break;
                     }
-                } else if let Op::Br { .. } = inst.op() {
-                    let actual_next = self.program.next_pc(pc);
-                    self.stats.branches += 1;
-                    if !ent.branch_trained {
-                        self.fetch.predictor_mut().update(pc, snap, false);
-                    }
-                    let stream_next = ent.resolved_next.unwrap_or(predicted_next);
-                    if stream_next != actual_next {
-                        self.stats.mispredicts += 1;
-                        self.fetch.flush_after(
-                            seq,
-                            actual_next,
-                            self.now + self.cfg.machine.mispredict_penalty,
-                            snap,
-                            false,
-                        );
-                        self.after_fetch_flush();
-                        flushed = true;
-                    }
+                };
+                if done.flushed {
+                    self.after_fetch_flush();
+                    flushed = true;
                 }
-
-                if self.pipeline_events {
-                    self.observer.on_issue(seq, self.now);
-                    if qp_true {
-                        if let Some(d) = inst.writes() {
-                            self.observer.on_writeback(seq, d, self.now);
-                        }
-                    }
-                }
-                if self.retire_events {
-                    let event = RetireEvent {
-                        seq,
-                        cycle: self.now,
-                        pc,
-                        inst: Cow::Borrowed(inst),
-                        qp_true: Some(qp_true),
-                        wrote: if qp_true {
-                            inst.writes().map(|d| (d, self.state.read(d)))
-                        } else {
-                            None
-                        },
-                        stored,
-                        mode: self.mode,
-                        merged: false,
-                        episode: self.episode_window(seq),
-                    };
-                    self.observer.on_retire(&event);
-                }
-                self.fetch.pop_front();
+                let episode = self.episode_window(seq);
+                self.stage.retire(&head, inst, &done, self.mode, episode);
                 self.drop_entry(seq);
-                self.activity.iq_reads += 1;
-                self.stats.retired += 1;
+                self.stage.activity.iq_reads += 1;
                 issued += 1;
             }
 
-            if self.halted || flushed || inst.op().is_branch() {
+            if self.stage.halted || flushed || inst.op().is_branch() {
                 break;
             }
             if !regroup && ends_group {
@@ -676,7 +555,7 @@ impl<'a> Core<'a> {
 
     /// Clamp multipass pointers after a fetch flush squashed entries.
     fn after_fetch_flush(&mut self) {
-        let next = self.fetch.next_seq();
+        let next = self.stage.fetch.next_seq();
         self.squash_entries_from(next);
         self.peek = self.peek.min(next);
         self.peek_high = self.peek_high.min(next);
@@ -686,15 +565,15 @@ impl<'a> Core<'a> {
     /// executions performed (the paper's attribution criterion).
     fn issue_advance(&mut self) -> u32 {
         let width = self.cfg.machine.issue_width;
-        let program = self.program;
+        let program = self.stage.program;
         let mut slots = 0u32;
         let mut executions = 0u32;
         let mut prev_ended_group = false;
 
         'insts: while slots < width {
             let seq = self.peek;
-            let Some(fe) = self.fetch.get(seq) else { break };
-            if fe.fetched_at > self.now {
+            let Some(fe) = self.stage.fetch.get(seq) else { break };
+            if fe.fetched_at > self.stage.now {
                 break;
             }
             let pc = fe.pc;
@@ -704,8 +583,8 @@ impl<'a> Core<'a> {
             let inst = program.inst(pc).expect("fetched pc is valid");
             let ends_group = inst.ends_group();
             let ent = self.entry(seq);
-            self.activity.iq_reads += 1;
-            self.activity.select_visits += 1;
+            self.stage.activity.iq_reads += 1;
+            self.stage.activity.select_visits += 1;
 
             // Group-boundary rule mirrors rally: regrouping (with E-bits)
             // merges across stop bits, otherwise one group per cycle.
@@ -720,8 +599,8 @@ impl<'a> Core<'a> {
 
             // ---- merge previously preserved results ----
             if ent.e_bit {
-                if ent.rs_available(self.now) {
-                    self.activity.rs_reads += 1;
+                if ent.rs_available(self.stage.now) {
+                    self.stage.activity.rs_reads += 1;
                     self.slot_executed = true; // merge: useful, not deferred
                     match ent.result.expect("E-bit entry has a result") {
                         RsResult::Value(v) => {
@@ -730,7 +609,7 @@ impl<'a> Core<'a> {
                                     d,
                                     SrfVal::Valid {
                                         value: v,
-                                        ready_at: self.now,
+                                        ready_at: self.stage.now,
                                         tainted: ent.tainted,
                                     },
                                 );
@@ -738,7 +617,7 @@ impl<'a> Core<'a> {
                         }
                         RsResult::Nop => {}
                         RsResult::Store { addr, data } => {
-                            self.activity.asc_accesses += 1;
+                            self.stage.activity.asc_accesses += 1;
                             self.asc.insert(
                                 addr,
                                 AscData::Valid { value: data, tainted: ent.tainted, seq },
@@ -770,24 +649,24 @@ impl<'a> Core<'a> {
             if let Op::Br { target } = inst.op() {
                 if let Some((taken, taint)) = qp {
                     let actual_next = if taken {
-                        self.program.first_pc_from(*target)
+                        self.stage.program.first_pc_from(*target)
                     } else {
-                        self.program.next_pc(pc)
+                        self.stage.program.next_pc(pc)
                     };
                     if !taint {
                         if inst.is_predicated() && !ent.branch_trained {
-                            self.fetch.predictor_mut().update(pc, snap, taken);
+                            self.stage.fetch.predictor_mut().update(pc, snap, taken);
                             let e = self.entries.get_or_default(seq);
                             e.branch_trained = true;
                         }
                         let stream_next = self.entry(seq).resolved_next.unwrap_or(predicted_next);
                         if stream_next != actual_next {
                             // Early mispredict resolution: redirect fetch.
-                            self.stats.early_resolved_mispredicts += 1;
-                            self.fetch.flush_after(
+                            self.stage.stats.early_resolved_mispredicts += 1;
+                            self.stage.fetch.flush_after(
                                 seq,
                                 actual_next,
-                                self.now + self.cfg.machine.mispredict_penalty,
+                                self.stage.now + self.cfg.machine.mispredict_penalty,
                                 snap,
                                 taken,
                             );
@@ -804,9 +683,9 @@ impl<'a> Core<'a> {
                         let e = self.entries.get_or_default(seq);
                         e.e_bit = true;
                         e.result = Some(RsResult::Nop);
-                        e.rs_ready_at = self.now;
+                        e.rs_ready_at = self.stage.now;
                         e.tainted = false;
-                        self.activity.rs_writes += 1;
+                        self.stage.activity.rs_writes += 1;
                     }
                 }
                 self.slot_executed = true; // control slot, not a deferral
@@ -832,9 +711,9 @@ impl<'a> Core<'a> {
                         let e = self.entries.get_or_default(seq);
                         e.e_bit = true;
                         e.result = Some(RsResult::Nop);
-                        e.rs_ready_at = self.now;
+                        e.rs_ready_at = self.stage.now;
                         e.tainted = false;
-                        self.activity.rs_writes += 1;
+                        self.stage.activity.rs_writes += 1;
                     } else if let Some(d) = inst.writes() {
                         self.srf.write(d, SrfVal::Invalid);
                     }
@@ -861,8 +740,8 @@ impl<'a> Core<'a> {
                                     );
                                     continue;
                                 }
-                                None => match self.sb.pending_kind(src, self.now) {
-                                    PendingKind::Load => Some(self.sb.ready_cycle(src)),
+                                None => match self.stage.sb.pending_kind(src, self.stage.now) {
+                                    PendingKind::Load => Some(self.stage.sb.ready_cycle(src)),
                                     PendingKind::Exec => None,
                                     PendingKind::None => {
                                         // Architecturally ready: no effect.
@@ -880,7 +759,7 @@ impl<'a> Core<'a> {
                                     // §3.3: restart at the trigger, timed so
                                     // the pass meets the arriving value.
                                     self.restart_pass();
-                                    self.advance_wait_until = t.max(self.now);
+                                    self.advance_wait_until = t.max(self.stage.now);
                                     break 'insts;
                                 }
                                 None if self.pass_progress => {
@@ -895,8 +774,8 @@ impl<'a> Core<'a> {
                         let e = self.entries.get_or_default(seq);
                         e.e_bit = true;
                         e.result = Some(RsResult::Nop);
-                        e.rs_ready_at = self.now;
-                        self.activity.rs_writes += 1;
+                        e.rs_ready_at = self.stage.now;
+                        self.stage.activity.rs_writes += 1;
                     }
                     Op::Load | Op::LoadFp => {
                         let base = match self.adv_read(inst.src_n(0).expect("load base")) {
@@ -920,12 +799,12 @@ impl<'a> Core<'a> {
                             self.advance_step(&mut slots, &mut prev_ended_group, ends_group);
                             continue;
                         }
-                        if !self.fu.try_issue(inst, self.now) {
+                        if !self.stage.fu.try_issue(inst, self.stage.now) {
                             break;
                         }
                         let addr = effective_address(base.0, inst.imm_val());
                         self.set_smaq(seq, addr);
-                        self.activity.asc_accesses += 1;
+                        self.stage.activity.asc_accesses += 1;
                         match self.asc.lookup(addr) {
                             AscLookup::Hit(AscData::Valid { value, tainted, seq: store_seq }) => {
                                 // The hit proves consistency only back to the
@@ -944,9 +823,9 @@ impl<'a> Core<'a> {
                                     }
                                     self.speculative_forwards += 1;
                                 }
-                                if self.pipeline_events {
-                                    self.observer.on_asc_forward(&AscForwardObs {
-                                        cycle: self.now,
+                                if self.stage.pipeline_events {
+                                    self.stage.observer.on_asc_forward(&AscForwardObs {
+                                        cycle: self.stage.now,
                                         load_seq: seq,
                                         store_seq,
                                         deferred_store: self.deferred_store,
@@ -959,7 +838,7 @@ impl<'a> Core<'a> {
                                         d,
                                         SrfVal::Valid {
                                             value,
-                                            ready_at: self.now + 1,
+                                            ready_at: self.stage.now + 1,
                                             tainted: taint,
                                         },
                                     );
@@ -967,12 +846,12 @@ impl<'a> Core<'a> {
                                 let e = self.entries.get_or_default(seq);
                                 e.e_bit = true;
                                 e.result = Some(RsResult::Value(value));
-                                e.rs_ready_at = self.now + 1;
+                                e.rs_ready_at = self.stage.now + 1;
                                 e.s_bit = s_bit;
                                 e.tainted = taint;
-                                self.activity.rs_writes += 1;
+                                self.stage.activity.rs_writes += 1;
                                 executions += 1;
-                                self.stats.executions += 1;
+                                self.stage.stats.executions += 1;
                                 self.mark_slot_work();
                             }
                             AscLookup::Hit(AscData::Invalid) => {
@@ -984,12 +863,16 @@ impl<'a> Core<'a> {
                                 let s_bit = self.deferred_store.is_some()
                                     || lookup == AscLookup::MissAfterReplacement;
                                 let taint = base.1 | qp_taint | s_bit;
-                                let v = self.state.mem.load(addr);
-                                match self.mem.access(addr, AccessKind::SpeculativeRead, self.now) {
+                                let v = self.stage.state.mem.load(addr);
+                                match self.stage.mem.access(
+                                    addr,
+                                    AccessKind::SpeculativeRead,
+                                    self.stage.now,
+                                ) {
                                     MemAccess::Done { complete_at, level } => {
-                                        self.observe_mem_access(complete_at, level);
+                                        self.stage.observe_mem_access(complete_at, level);
                                         executions += 1;
-                                        self.stats.executions += 1;
+                                        self.stage.stats.executions += 1;
                                         self.mark_slot_work();
                                         let e = self.entries.get_or_default(seq);
                                         e.e_bit = true;
@@ -997,7 +880,7 @@ impl<'a> Core<'a> {
                                         e.rs_ready_at = complete_at;
                                         e.s_bit = s_bit;
                                         e.tainted = taint;
-                                        self.activity.rs_writes += 1;
+                                        self.stage.activity.rs_writes += 1;
                                         if let Some(d) = inst.writes() {
                                             if level.is_miss() && self.cfg.waw_skip_srf {
                                                 // §3.5 WAW policy: missing
@@ -1052,12 +935,12 @@ impl<'a> Core<'a> {
                             self.advance_step(&mut slots, &mut prev_ended_group, ends_group);
                             continue;
                         }
-                        if !self.fu.try_issue(inst, self.now) {
+                        if !self.stage.fu.try_issue(inst, self.stage.now) {
                             break;
                         }
                         let addr = effective_address(base.0, inst.imm_val());
                         self.set_smaq(seq, addr);
-                        self.activity.asc_accesses += 1;
+                        self.stage.activity.asc_accesses += 1;
                         match data {
                             Some((dv, dt)) => {
                                 let taint = base.1 | dt | qp_taint;
@@ -1068,11 +951,11 @@ impl<'a> Core<'a> {
                                 let e = self.entries.get_or_default(seq);
                                 e.e_bit = true;
                                 e.result = Some(RsResult::Store { addr, data: dv });
-                                e.rs_ready_at = self.now;
+                                e.rs_ready_at = self.stage.now;
                                 e.tainted = taint;
-                                self.activity.rs_writes += 1;
+                                self.stage.activity.rs_writes += 1;
                                 executions += 1;
-                                self.stats.executions += 1;
+                                self.stage.stats.executions += 1;
                                 self.mark_slot_work();
                             }
                             None => {
@@ -1102,12 +985,12 @@ impl<'a> Core<'a> {
                         };
                         match (a, b) {
                             (Some((av, at)), Some((bv, bt))) => {
-                                if !self.fu.try_issue(inst, self.now) {
+                                if !self.stage.fu.try_issue(inst, self.stage.now) {
                                     break;
                                 }
                                 let v = alu(op, av, bv, inst.imm_val());
                                 let taint = at | bt | qp_taint;
-                                let ready = self.now + op.latency() as u64;
+                                let ready = self.stage.now + op.latency() as u64;
                                 if let Some(d) = inst.writes() {
                                     self.srf.write(
                                         d,
@@ -1119,9 +1002,9 @@ impl<'a> Core<'a> {
                                 e.result = Some(RsResult::Value(v));
                                 e.rs_ready_at = ready;
                                 e.tainted = taint;
-                                self.activity.rs_writes += 1;
+                                self.stage.activity.rs_writes += 1;
                                 executions += 1;
-                                self.stats.executions += 1;
+                                self.stage.stats.executions += 1;
                                 self.mark_slot_work();
                             }
                             _ => {
@@ -1174,18 +1057,18 @@ impl<'a> Core<'a> {
     /// advance→rally wake point. `u64::MAX` when only an external event
     /// (fetch arrival) can change it.
     fn head_wake(&self) -> u64 {
-        let Some(fe) = self.fetch.get(self.fetch.head_seq()) else {
+        let Some(fe) = self.stage.fetch.get(self.stage.fetch.head_seq()) else {
             return u64::MAX;
         };
-        if fe.fetched_at > self.now {
+        if fe.fetched_at > self.stage.now {
             return fe.fetched_at;
         }
         let ent = self.entry(fe.seq);
         if ent.e_bit {
             ent.rs_ready_at
         } else {
-            let inst = self.program.inst(fe.pc).expect("fetched pc is valid");
-            operand_wake(inst, &self.sb, self.now).unwrap_or(u64::MAX)
+            let inst = self.stage.program.inst(fe.pc).expect("fetched pc is valid");
+            operand_wake(inst, &self.stage.sb, self.stage.now).unwrap_or(u64::MAX)
         }
     }
 
@@ -1198,8 +1081,13 @@ impl<'a> Core<'a> {
     /// — for a pipeline-level observer — still publishes its per-cycle
     /// snapshot, so stats, artifacts, and observation streams are
     /// bit-for-bit identical in both tick modes.
-    fn fast_forward(&mut self, cycle_cap: u64) {
-        if self.halted || self.now >= cycle_cap {
+    fn fast_forward(&mut self) {
+        // Fetch must be idle for the whole window; checking that first
+        // keeps busy cycles cheap.
+        if self.stage.tick != TickMode::EventDriven
+            || self.stage.halted
+            || self.stage.fetch.quiescent_until(self.stage.now).is_none()
+        {
             return;
         }
         // Pending mode transitions must be taken by the polled path so
@@ -1207,36 +1095,31 @@ impl<'a> Core<'a> {
         if self.mode == RetireMode::Advance && self.head_issueable() {
             return;
         }
-        if self.mode == RetireMode::Rally && self.fetch.head_seq() >= self.peek_high {
+        if self.mode == RetireMode::Rally && self.stage.fetch.head_seq() >= self.peek_high {
             return;
         }
-        // Fetch must be idle for the whole window; `fetch_wake` bounds it.
-        let Some(fetch_wake) = self.fetch.quiescent_until(self.now) else {
-            return;
-        };
         // The third tuple element is issue-select visits per skipped
-        // cycle: only the architectural/rally live-head operand stall
-        // re-examines the head every polled cycle; every other skippable
-        // window never enters an issue loop (stall penalty, timed advance
-        // wait, dead PEEK) or fails the issue gate (drained or
-        // not-yet-fetched head).
-        let (target, kind, visits) = if self.now < self.stall_until {
+        // cycle: only a live stalled head in architectural/rally mode is
+        // re-examined every polled cycle; every other skippable window
+        // never enters an issue loop (stall penalty, timed advance wait,
+        // dead PEEK).
+        let (target, kind, visits) = if self.stage.now < self.stall_until {
             // Value-misspeculation flush penalty: pure wait.
             (self.stall_until, StallKind::Other, 0)
         } else {
             match self.mode {
                 RetireMode::Advance => {
-                    if self.now < self.advance_wait_until {
+                    if self.stage.now < self.advance_wait_until {
                         // Restarted pass timed to meet an arrival; the
                         // head may become issueable first (rally entry).
                         (self.advance_wait_until.min(self.head_wake()), StallKind::Load, 0)
                     } else {
-                        match self.fetch.get(self.peek) {
+                        match self.stage.fetch.get(self.peek) {
                             // PEEK ran past fetch: advance issue is a
                             // no-op until the head wakes (fetch arrivals
-                            // bound the window via `fetch_wake`).
+                            // bound the window through `wake_bound`).
                             None => (self.head_wake(), StallKind::Load, 0),
-                            Some(fe) if fe.fetched_at > self.now => {
+                            Some(fe) if fe.fetched_at > self.stage.now => {
                                 (self.head_wake().min(fe.fetched_at), StallKind::Load, 0)
                             }
                             // The PEEK entry is live: advance would work.
@@ -1245,84 +1128,41 @@ impl<'a> Core<'a> {
                     }
                 }
                 RetireMode::Architectural | RetireMode::Rally => {
-                    let seq = self.fetch.head_seq();
-                    match self.fetch.get(seq) {
-                        None => (u64::MAX, StallKind::FrontEnd, 0),
-                        Some(fe) if fe.fetched_at > self.now => {
-                            (fe.fetched_at, StallKind::FrontEnd, 0)
-                        }
-                        Some(fe) => {
-                            if self.entry(seq).e_bit {
-                                // Merge work, or a Load stall that enters
-                                // advance mode this very cycle.
-                                return;
-                            }
-                            let inst = self.program.inst(fe.pc).expect("fetched pc is valid");
-                            match operand_stall(inst, &self.sb, self.now) {
-                                // A Load stall enters advance mode the
-                                // same cycle: not skippable.
-                                Some(k) if k != StallKind::Load => {
-                                    match operand_wake(inst, &self.sb, self.now) {
-                                        Some(w) => (w, k, 1),
-                                        None => return,
-                                    }
-                                }
-                                _ => return,
-                            }
-                        }
+                    // A live E-bit head means merge work, or a load stall
+                    // that enters advance mode this very cycle.
+                    if self.stage.head().is_some_and(|head| self.entry(head.seq).e_bit) {
+                        return;
+                    }
+                    // The baseline window, except that a load-use stall
+                    // enters advance mode the same cycle.
+                    match self.stage.head_window(false) {
+                        Some(window) => window,
+                        None => return,
                     }
                 }
             }
         };
-        let wake = target.min(fetch_wake).min(self.mem.next_mshr_fill(self.now)).min(cycle_cap);
-        if wake <= self.now {
-            return;
-        }
-        if self.pipeline_events {
+        let Some(wake) = self.stage.wake_bound(target) else { return };
+        while self.stage.now < wake {
             // Pipeline-level observers see every cycle, skipped or not:
-            // emit the same per-cycle snapshots the polled loop would have.
-            while self.now < wake {
+            // walk the window emitting the per-cycle snapshots the polled
+            // loop would have.
+            let to = if self.stage.pipeline_events {
                 self.observe_cycle();
-                self.stats.breakdown.charge(kind);
-                self.activity.select_visits += visits;
-                self.bump_mode_cycles();
-                self.now += 1;
-            }
-        } else {
-            let skipped = wake - self.now;
-            self.stats.breakdown.charge_n(kind, skipped);
-            self.activity.select_visits += visits * skipped;
-            match self.mode {
-                RetireMode::Advance => self.stats.spec_mode_cycles += skipped,
-                RetireMode::Rally => self.stats.rally_cycles += skipped,
-                RetireMode::Architectural => {}
-            }
-            self.now = wake;
+                self.stage.now + 1
+            } else {
+                wake
+            };
+            let skipped = self.stage.skip_to(to, kind, visits);
+            self.bump_mode_cycles(skipped);
         }
     }
 
     // ----------------------------------------------------------------- run
 
-    fn run(&mut self, case: &SimCase<'_>) -> Result<RunResult, RunError> {
-        let cycle_cap = case.cycle_cap(self.cfg.machine.max_cycles);
-        while !self.halted {
-            if self.now >= cycle_cap {
-                return Err(RunError::CycleBudgetExceeded {
-                    limit: cycle_cap,
-                    retired: self.stats.retired,
-                });
-            }
-            assert!(self.stats.retired < case.max_insts, "instruction budget exceeded");
-            if self.pipeline_events {
-                let before = self.fetch.next_seq();
-                self.fetch.tick(self.program, &mut self.mem, self.now);
-                for s in before..self.fetch.next_seq() {
-                    self.observer.on_fetch(s, self.now);
-                }
-            } else {
-                self.fetch.tick(self.program, &mut self.mem, self.now);
-            }
-            self.fu.new_cycle(self.now);
+    fn run(mut self) -> Result<RunResult, RunError> {
+        while !self.stage.halted {
+            self.stage.begin_cycle()?;
 
             // Advance → rally as soon as the trigger's operand arrives.
             if self.mode == RetireMode::Advance && self.head_issueable() {
@@ -1330,86 +1170,54 @@ impl<'a> Core<'a> {
             }
             // Rally → architectural when DEQ catches the PEEK high-water
             // mark: nothing deferred remains in flight.
-            if self.mode == RetireMode::Rally && self.fetch.head_seq() >= self.peek_high {
+            if self.mode == RetireMode::Rally && self.stage.fetch.head_seq() >= self.peek_high {
                 self.set_mode(RetireMode::Architectural);
             }
 
             self.observe_cycle();
 
-            if self.now < self.stall_until {
+            if self.stage.now < self.stall_until {
                 // Value-misspeculation flush penalty.
-                self.stats.breakdown.charge(StallKind::Other);
-                self.bump_mode_cycles();
-                self.now += 1;
-                if self.tick == TickMode::EventDriven {
-                    self.fast_forward(cycle_cap);
-                }
-                continue;
-            }
-
-            match self.mode {
-                RetireMode::Architectural | RetireMode::Rally => {
-                    let (issued, stall) = self.issue_architectural();
-                    if issued > 0 {
-                        self.stats.breakdown.charge(StallKind::Execution);
-                    } else if let Some(kind) = stall {
-                        self.stats.breakdown.charge(kind);
-                    } else {
-                        self.stats.breakdown.charge(StallKind::FrontEnd);
-                    }
-                    // Enter advance mode on a load-use stall.
-                    if issued == 0 && stall == Some(StallKind::Load) && !self.halted {
-                        self.enter_advance(self.fetch.head_seq());
-                    }
-                }
-                RetireMode::Advance => {
-                    let executions = if self.now < self.advance_wait_until {
-                        0 // pass restarted and timed to meet an arrival
-                    } else {
-                        self.issue_advance()
-                    };
-                    // §5.1: advance cycles with no new executions are
-                    // charged to the latency that initiated advance mode.
-                    if executions > 0 {
-                        self.stats.breakdown.charge(StallKind::Execution);
-                    } else {
-                        self.stats.breakdown.charge(StallKind::Load);
-                    }
+                self.stage.stats.breakdown.charge(StallKind::Other);
+            } else if self.mode == RetireMode::Advance {
+                let executions = if self.stage.now < self.advance_wait_until {
+                    0 // pass restarted and timed to meet an arrival
+                } else {
+                    self.issue_advance()
+                };
+                // §5.1: advance cycles with no new executions are charged
+                // to the latency that initiated advance mode.
+                let kind = if executions > 0 { StallKind::Execution } else { StallKind::Load };
+                self.stage.stats.breakdown.charge(kind);
+            } else {
+                let (issued, stall) = self.issue_architectural();
+                self.stage.charge_issue_cycle(issued, stall);
+                // Enter advance mode on a load-use stall.
+                if issued == 0 && stall == Some(StallKind::Load) && !self.stage.halted {
+                    self.enter_advance(self.stage.fetch.head_seq());
                 }
             }
 
-            self.bump_mode_cycles();
-            self.now += 1;
-            if self.tick == TickMode::EventDriven {
-                self.fast_forward(cycle_cap);
-            }
+            self.bump_mode_cycles(1);
+            self.stage.now += 1;
+            self.fast_forward();
         }
 
-        self.stats.cycles = self.now;
-        self.activity.cycles = self.now;
-        self.activity.iq_writes = self.fetch.fetched();
-        self.activity.srf_reads = self.srf.read_count();
-        self.activity.srf_writes = self.srf.write_count();
+        self.stage.activity.iq_writes = self.stage.fetch.fetched();
+        self.stage.activity.srf_reads = self.srf.read_count();
+        self.stage.activity.srf_writes = self.srf.write_count();
         // Growth events of the in-flight entry ring: 1 for the initial
         // allocation, and nothing further once warm (the steady-state
         // zero-allocation invariant, asserted in tests/tick_equivalence.rs).
-        self.activity.alloc_count += self.entries.alloc_events();
-
-        // The simulation is finished: move the stats and final state out
-        // instead of cloning them (the architectural memory image can be
-        // megabytes for the paper-scale workloads).
-        Ok(RunResult {
-            stats: std::mem::take(&mut self.stats),
-            activity: self.activity,
-            mem_stats: self.mem.final_stats(),
-            final_state: std::mem::replace(&mut self.state, ArchState::new()),
-        })
+        self.stage.activity.alloc_count += self.entries.alloc_events();
+        Ok(self.stage.finish())
     }
 
-    fn bump_mode_cycles(&mut self) {
+    /// Counts `n` cycles spent in the current mode.
+    fn bump_mode_cycles(&mut self, n: u64) {
         match self.mode {
-            RetireMode::Advance => self.stats.spec_mode_cycles += 1,
-            RetireMode::Rally => self.stats.rally_cycles += 1,
+            RetireMode::Advance => self.stage.stats.spec_mode_cycles += n,
+            RetireMode::Rally => self.stage.stats.rally_cycles += n,
             RetireMode::Architectural => {}
         }
     }
@@ -1437,9 +1245,7 @@ impl ExecutionModel for Multipass {
         case: &SimCase<'_>,
         observer: &mut dyn Observer,
     ) -> Result<RunResult, RunError> {
-        let mut core = Core::new(self.config, case, observer);
-        core.tick = self.tick;
-        core.run(case)
+        Core::new(self.config, case, self.tick, observer).run()
     }
 }
 
@@ -1447,7 +1253,7 @@ impl ExecutionModel for Multipass {
 mod tests {
     use super::*;
     use ff_isa::interp::Interpreter;
-    use ff_isa::{Inst, MemoryImage};
+    use ff_isa::{ArchState, Inst, MemoryImage, Program};
 
     fn check_vs_interpreter(p: &Program, mem: &MemoryImage) -> RunResult {
         let case = SimCase::new(p, mem.clone());

@@ -17,6 +17,9 @@
 //! * [`TraceStepper`] — the correct-path dynamic stream with dataflow and
 //!   memory dependence links, stepped one instruction at a time for the
 //!   trace-driven out-of-order timing models;
+//! * [`InOrderStage`] — the in-order issue stage (architectural
+//!   execution, stall charging, the head-of-queue fast-forward window)
+//!   that the in-order, runahead and multipass models share;
 //! * [`ExecutionModel`] — the trait every pipeline model implements, and
 //!   [`SimCase`]/[`RunResult`] — its input/output types;
 //! * [`Observer`] — the one read-only observation interface every model
@@ -33,6 +36,7 @@
 pub mod activity;
 pub mod config;
 pub mod fu;
+pub mod inorder;
 pub mod model;
 pub mod probe;
 pub mod retire;
@@ -44,6 +48,7 @@ pub mod trace;
 pub use activity::Activity;
 pub use config::MachineConfig;
 pub use fu::FuPool;
+pub use inorder::{Executed, Head, InOrderStage, WakeHooks};
 pub use model::{ExecutionModel, RunError, RunResult, SimCase, TickMode};
 pub use probe::{AscForwardObs, CycleObs, MemAccessObs, ObserveLevel, Observer};
 pub use retire::{EpisodeWindow, RetireEvent, RetireMode, RetireRing};

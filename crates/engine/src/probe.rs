@@ -105,18 +105,20 @@ pub trait Observer {
     /// Which events this observer wants. Models read it once per run.
     fn level(&self) -> ObserveLevel;
 
-    /// An instruction entered the fetch buffer (pipeline level).
+    /// An instruction entered the fetch buffer (pipeline level, multipass
+    /// only).
     fn on_fetch(&mut self, seq: u64, cycle: u64) {
         let _ = (seq, cycle);
     }
 
     /// An instruction issued, architecturally or in an advance pass
-    /// (pipeline level).
+    /// (pipeline level, multipass only).
     fn on_issue(&mut self, seq: u64, cycle: u64) {
         let _ = (seq, cycle);
     }
 
-    /// An instruction wrote an architectural register (pipeline level).
+    /// An instruction wrote an architectural register (pipeline level,
+    /// multipass only).
     fn on_writeback(&mut self, seq: u64, reg: Reg, cycle: u64) {
         let _ = (seq, reg, cycle);
     }

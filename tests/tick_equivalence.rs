@@ -15,7 +15,7 @@ use flea_flicker::engine::{
 };
 use flea_flicker::harness::artifact::render_sim_artifact;
 use flea_flicker::harness::JobSpec;
-use flea_flicker::isa::Reg;
+use flea_flicker::isa::{Inst, MemoryImage, Op, Program, Reg};
 use flea_flicker::multipass::{Multipass, MultipassConfig};
 use flea_flicker::workloads::{Scale, Workload};
 
@@ -126,9 +126,46 @@ fn first_diff(a: &[String], b: &[String]) -> String {
     format!("stream lengths differ: polling={} event={}", a.len(), b.len())
 }
 
-/// The acceptance grid: every model x every benchmark, event-driven runs
-/// must reproduce the polling runs' results, retirement streams, and
-/// rendered campaign artifacts byte for byte.
+/// A named simulation input.
+type Input = (String, Program, MemoryImage);
+
+fn benchmark(w: Workload) -> Input {
+    (w.name.to_string(), w.program, w.mem)
+}
+
+/// Two kernels that stall on the unpipelined FP dividers, which no
+/// benchmark is known to reach: a chain of dependent divides (each waits
+/// on its producer's result) and a run of independent divides that
+/// oversubscribes the FP units, so the head waits purely on a busy
+/// divider (the functional-unit window of the in-order fast-forward).
+fn divide_kernels() -> [Input; 2] {
+    let mut chain = Program::new();
+    let b = chain.add_block();
+    chain.push(b, Inst::new(Op::MovImm).dst(Reg::int(1)).imm(7).stop());
+    for _ in 0..5 {
+        chain.push(b, Inst::new(Op::Div).dst(Reg::int(1)).src(Reg::int(1)).src(Reg::int(1)).stop());
+    }
+    chain.push(b, Inst::new(Op::Halt).stop());
+
+    let mut independent = Program::new();
+    let b = independent.add_block();
+    independent.push(b, Inst::new(Op::MovImm).dst(Reg::int(1)).imm(700));
+    independent.push(b, Inst::new(Op::MovImm).dst(Reg::int(2)).imm(3).stop());
+    for i in 0..6 {
+        independent
+            .push(b, Inst::new(Op::Div).dst(Reg::int(10 + i)).src(Reg::int(1)).src(Reg::int(2)));
+    }
+    independent.push(b, Inst::new(Op::Halt).stop());
+
+    [
+        ("divide-chain".into(), chain, MemoryImage::new()),
+        ("independent-divides".into(), independent, MemoryImage::new()),
+    ]
+}
+
+/// The acceptance grid: every model x every benchmark (and the divide
+/// kernels), event-driven runs must reproduce the polling runs' results,
+/// retirement streams, and rendered campaign artifacts byte for byte.
 ///
 /// The grid also pins the observation contract: an unobserved run, a
 /// retirement-level observer and a pipeline-level observer all get the
@@ -138,13 +175,14 @@ fn first_diff(a: &[String], b: &[String]) -> String {
 #[test]
 fn event_driven_matches_polling_on_every_grid_point() {
     let machine = MachineConfig::itanium2_base();
-    for w in Workload::all(Scale::Test) {
-        let case = SimCase::new(&w.program, w.mem.clone());
+    let inputs = Workload::all(Scale::Test).into_iter().map(benchmark).chain(divide_kernels());
+    for (input, program, mem) in inputs {
+        let case = SimCase::new(&program, mem);
         for (name, mut model) in models(machine) {
             let retire = ObserveLevel::Retire;
             let (polled, polled_stream) = run_with(&mut *model, &case, TickMode::Polling, retire);
             let (event, event_stream) = run_with(&mut *model, &case, TickMode::EventDriven, retire);
-            let at = format!("{name} on {}", w.name);
+            let at = format!("{name} on {input}");
             assert_same_result(&polled, &event, &at);
             assert!(
                 polled_stream == event_stream,
@@ -236,9 +274,10 @@ fn in_flight_containers_do_not_allocate_in_steady_state() {
 #[test]
 fn fast_forward_never_skips_a_probe_visible_event() {
     let machine = MachineConfig::itanium2_base();
-    for bench in ["mcf", "gap", "art", "equake"] {
-        let w = Workload::by_name(bench, Scale::Test).unwrap();
-        let case = SimCase::new(&w.program, w.mem.clone());
+    let benches =
+        ["mcf", "gap", "art", "equake"].map(|b| Workload::by_name(b, Scale::Test).unwrap());
+    for (bench, program, mem) in benches.into_iter().map(benchmark).chain(divide_kernels()) {
+        let case = SimCase::new(&program, mem);
         let observe = |tick| {
             let mut model = Multipass::new(machine);
             let (result, mut lines) = run_with(&mut model, &case, tick, ObserveLevel::Pipeline);
